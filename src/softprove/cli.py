@@ -1,4 +1,4 @@
-"""Command-line surface: parse, prove, verify, refine, corpus verify, bench,
+"""Command-line surface: parse, prove, verify, refine, corpus verify,
 embeddings cache.
 
 Exit codes: 0 success, 1 input error, 2 config error, 3 no proof,
@@ -12,11 +12,9 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Optional
 
-from .bench import DEFAULT_SEED, run_bench
 from .chat import ChatError, ChatParams, HttpChatClient, MockTranscript, default_model
 from .embeddings import (
     EmbeddingError,
@@ -34,7 +32,7 @@ from .prover import (
     render_proof,
 )
 from .refine import CaseSeed, RefineAborted, RefineConfig, RefineError, refine_loop
-from .ruleparse import KbParseError, RuleSyntaxError, format_atom, format_rule, parse_kb, serialize
+from .ruleparse import KbParseError, RuleSyntaxError, format_rule, parse_kb, serialize
 from .srl import SchemaError, frame_from_dict, frame_to_facts
 from .verifier import (
     MoralViolation,
@@ -53,7 +51,6 @@ EXIT_NO_PROOF = 3
 EXIT_CLIENT = 4
 
 ENV_PREFIX = "SOFTPROVE_"
-_CONFIG_KEYS = ("unify_threshold", "proof_threshold", "max_depth", "embeddings", "principles")
 
 
 class InputError(ValueError):
@@ -128,7 +125,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
     canonical = serialize(doc)
     payload = {
         "rules": [format_rule(r) for r in doc.rules],
-        "goals": [format_atom(g.goal_atom) for g in doc.goal_decls],
+        "goals": [str(g.goal_atom) for g in doc.goal_decls],
         "canonical": canonical,
     }
     _emit(args, canonical.rstrip("\n"), payload)
@@ -221,50 +218,25 @@ def cmd_corpus_verify(args: argparse.Namespace) -> int:
     store = _store(args)
     config = _solver_config(args)
 
-    def one(path_text: str):
-        path = base / path_text
-        doc = json.loads(path.read_text("utf-8"))
-        case, rules = case_from_dict(doc)
-        kb = assemble_kb(principle_doc.rules, principle_doc.goal_decls, frame_to_facts(case.frame), rules)
-        return int(doc.get("iteration", 0)), verify_case(case, kb, store, config)
-
     outcomes = []
     failures = []
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        for path_text, result in zip(
-            manifest["cases"], pool.map(lambda p: _guard(one, p), manifest["cases"])
-        ):
-            if isinstance(result, Exception):
-                failures.append((path_text, result))
-                print(f"case failed: {path_text}: {result}", file=sys.stderr)
-            else:
-                outcomes.append(result)
+    for path_text in manifest["cases"]:
+        try:
+            doc = json.loads((base / path_text).read_text("utf-8"))
+            case, rules = case_from_dict(doc)
+            kb = assemble_kb(principle_doc.rules, principle_doc.goal_decls, frame_to_facts(case.frame), rules)
+            outcomes.append((int(doc.get("iteration", 0)), verify_case(case, kb, store, config)))
+        except Exception as exc:  # per-case failures never abort the corpus run
+            failures.append(str(path_text))
+            print(f"case failed: {path_text}: {exc}", file=sys.stderr)
     report = aggregate_metrics(outcomes)
     payload = metrics_to_dict(report)
     payload["split"] = manifest.get("split")
-    payload["failures"] = [str(p) for p, _ in failures]
+    payload["failures"] = failures
     destination = args.out or manifest.get("report")
     if destination:
         (base / destination).write_text(json.dumps(payload, indent=2) + "\n", "utf-8")
     _emit(args, render_metrics(report), payload)
-    return EXIT_OK
-
-
-def _guard(fn, arg):
-    try:
-        return fn(arg)
-    except Exception as exc:  # per-case failures never abort the corpus run
-        return exc
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    report = run_bench(args.rules, runs=args.runs, seed=args.seed, config=_solver_config(args))
-    text = (
-        f"rules={report.rule_count} runs={report.runs}"
-        f" median={report.median_seconds * 1000:.1f}ms"
-        f" proof_found={report.proof_found} score={report.proof_score:.5f}"
-    )
-    _emit(args, text, report.to_dict())
     return EXIT_OK
 
 
@@ -342,19 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
     corpus_sub = corpus.add_subparsers(dest="corpus_command", required=True)
     p = corpus_sub.add_parser("verify", help="verify every case in a manifest")
     p.add_argument("manifest")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None, help="report JSON destination")
     _add_common_flags(p)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_corpus_verify)
-
-    p = sub.add_parser("bench", help="synthetic solver scalability benchmark")
-    p.add_argument("--rules", type=int, default=1000)
-    p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_common_flags(p)
-    _add_solver_flags(p)
-    p.set_defaults(func=cmd_bench)
 
     emb = sub.add_parser("embeddings", help="embedding store operations")
     emb_sub = emb.add_subparsers(dest="embeddings_command", required=True)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import io
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Mapping, Optional, Union
 
@@ -42,24 +41,8 @@ class DimensionMismatch(EmbeddingError):
         super().__init__(f"line {line_no}: expected {expected} components, got {got}")
 
 
-@dataclass(frozen=True)
-class SymbolVector:
-    """Embedding of a (possibly multiword) symbol; vector is None when fully OOV."""
-
-    symbol: str
-    vector: Optional[np.ndarray]
-
-    @property
-    def absent(self) -> bool:
-        return self.vector is None
-
-
 class EmbeddingStore:
-    """Read-only token -> vector map with per-symbol and per-pair score caches.
-
-    Cache entries are deterministic functions of the vocabulary, so concurrent
-    duplicate insertions are harmless.
-    """
+    """Read-only token -> vector map with per-symbol and per-pair score caches."""
 
     def __init__(self, dimension: int, vectors: Mapping[str, np.ndarray]) -> None:
         if dimension < 1:
@@ -133,15 +116,16 @@ def load_embeddings(
     return EmbeddingStore(dimension, vectors)
 
 
-def symbol_embedding(store: EmbeddingStore, symbol: str) -> SymbolVector:
-    """Mean of in-vocabulary underscore-split token vectors; cached."""
+def symbol_embedding(store: EmbeddingStore, symbol: str) -> Optional[np.ndarray]:
+    """Mean of in-vocabulary underscore-split token vectors, None when all are
+    out of vocabulary; cached."""
     cached = store._symbol_cache.get(symbol, Ellipsis)
     if cached is not Ellipsis:
-        return SymbolVector(symbol, cached)
+        return cached
     hits = [v for v in (store.token_vector(t) for t in symbol.split("_")) if v is not None]
     vector = None if not hits else np.mean(np.stack(hits), axis=0)
     store._symbol_cache[symbol] = vector
-    return SymbolVector(symbol, vector)
+    return vector
 
 
 def weak_unify_score(store: EmbeddingStore, a: str, b: str) -> float:
@@ -156,8 +140,8 @@ def weak_unify_score(store: EmbeddingStore, a: str, b: str) -> float:
     cached = store._pair_cache.get(key)
     if cached is not None:
         return cached
-    va = symbol_embedding(store, key[0]).vector
-    vb = symbol_embedding(store, key[1]).vector
+    va = symbol_embedding(store, key[0])
+    vb = symbol_embedding(store, key[1])
     if va is None or vb is None:
         score = 0.0
     else:

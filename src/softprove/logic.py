@@ -2,8 +2,7 @@
 
 The rule language is deliberately tiny: constants and variables only (no
 function symbols), predicates of arity 1..3, definite clauses carrying a
-confidence score in (0, 1].  Everything is immutable so knowledge bases can
-be shared read-only across concurrent proof searches.
+confidence score in (0, 1].  Everything is immutable.
 """
 
 from __future__ import annotations
@@ -201,10 +200,6 @@ class Rule:
         if not self.id:
             raise LogicError("rule id must be non-empty")
 
-    @property
-    def is_fact(self) -> bool:
-        return not self.body
-
 
 @dataclass(frozen=True)
 class GoalSpec:
@@ -260,9 +255,6 @@ class Substitution:
 
     def items(self) -> Iterator[tuple[str, Term]]:
         return iter(self._bindings.items())
-
-    def as_dict(self) -> dict[str, Term]:
-        return dict(self._bindings)
 
     def __contains__(self, name: str) -> bool:
         return name in self._bindings

@@ -1,8 +1,7 @@
 """Prompt template registry for the refinement pipeline.
 
 Each template names the slots it requires; rendering with a missing slot is
-an error.  The zero-shot and chain-of-thought templates exist as baseline
-stubs and are not used by the refinement loop.
+an error.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ class PromptRole(Enum):
     AUTOFORMALIZE = "autoformalize"
     ABDUCE = "abduce"
     DEDUCE = "deduce"
-    ZERO_SHOT = "zero_shot"
-    COT = "cot"
 
 
 class TemplateError(ValueError):
@@ -118,30 +115,8 @@ _DEDUCE = PromptTemplate(
     required_slots=frozenset({"facts"}),
 )
 
-_ZERO_SHOT = PromptTemplate(
-    role=PromptRole.ZERO_SHOT,
-    system=(
-        "Classify which moral foundation the statement violates.\n"
-        + _FOUNDATIONS_BRIEF
-        + "\n\nAnswer with one foundation name."
-    ),
-    user="Statement: {statement}",
-    required_slots=frozenset({"statement"}),
-)
-
-_COT = PromptTemplate(
-    role=PromptRole.COT,
-    system=(
-        "Classify which moral foundation the statement violates.\n"
-        + _FOUNDATIONS_BRIEF
-        + "\n\nThink step by step, then end with `Hypothesis: <foundation>`."
-    ),
-    user="Statement: {statement}",
-    required_slots=frozenset({"statement"}),
-)
-
 TEMPLATES: dict[PromptRole, PromptTemplate] = {
-    t.role: t for t in (_SEMANTIC, _AUTOFORMALIZE, _ABDUCE, _DEDUCE, _ZERO_SHOT, _COT)
+    t.role: t for t in (_SEMANTIC, _AUTOFORMALIZE, _ABDUCE, _DEDUCE)
 }
 
 

@@ -13,7 +13,6 @@ break by fewer steps, then by lexicographically smallest sorted rule-id set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from typing import Iterator, Optional, Sequence
 
 from .embeddings import EmbeddingStore, weak_unify_score
@@ -35,10 +34,6 @@ from .logic import (
 )
 
 
-class Aggregation(Enum):
-    PRODUCT = "product"
-
-
 class ConfigError(ValueError):
     pass
 
@@ -51,7 +46,6 @@ class SolverConfig:
     proof_threshold: float = 0.13
     max_depth: int = 10
     max_proofs_per_goal: int = 10_000
-    aggregation: Aggregation = Aggregation.PRODUCT
     # Extensions beyond the core knobs: weak constant matching, a strict `>`
     # proof-threshold mode, and a pruning toggle kept for invariant testing.
     weak_constants: bool = False

@@ -468,7 +468,7 @@ def _finish_trace(
         statement=seed.statement,
         records=tuple(records),
         valid=valid,
-        non_redundant=valid,
+        non_redundant=valid and records[-1].outcome.kind is OutcomeKind.VALID_NON_REDUNDANT,
         final_hypothesis=hypothesis,
         final_explanation=facts,
     )

@@ -297,14 +297,10 @@ def format_score(score: float) -> str:
     return text
 
 
-def format_atom(subject: Atom) -> str:
-    return str(subject)
-
-
 def format_rule(rule: Rule) -> str:
-    head = format_atom(rule.head)
+    head = str(rule.head)
     if rule.body:
-        body = ", ".join(format_atom(a) for a in rule.body)
+        body = ", ".join(str(a) for a in rule.body)
         clause = f"{head} :- {body}"
     else:
         clause = head
@@ -312,7 +308,7 @@ def format_rule(rule: Rule) -> str:
 
 
 def format_goal_decl(goals: Sequence[GoalSpec]) -> str:
-    alternatives = " | ".join(format_atom(g.goal_atom) for g in goals)
+    alternatives = " | ".join(str(g.goal_atom) for g in goals)
     return f"goal <- {alternatives}."
 
 

@@ -9,7 +9,6 @@ computed here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
@@ -24,7 +23,7 @@ from .logic import (
 )
 from .prover import ConfigError, ProofResult, SolverConfig, facts_in_proof, prove_all_goals
 from .ruleparse import parse_rule
-from .srl import SemanticFrame, frame_from_dict, frame_to_dict, frame_to_facts
+from .srl import SemanticFrame, frame_from_dict, frame_to_dict
 
 
 class InvalidClass(Enum):
@@ -285,10 +284,6 @@ def case_from_dict(doc: dict) -> tuple[EthicalCase, tuple[Rule, ...]]:
     return case, tuple(rules)
 
 
-def load_case(text: str) -> tuple[EthicalCase, tuple[Rule, ...]]:
-    return case_from_dict(json.loads(text))
-
-
 def case_to_dict(case: EthicalCase) -> dict:
     doc: dict = {
         "id": case.id,
@@ -303,6 +298,3 @@ def case_to_dict(case: EthicalCase) -> dict:
         doc["manual_invalid_class"] = case.manual_invalid_class.value
     return doc
 
-
-def case_srl_facts(case: EthicalCase) -> tuple[Rule, ...]:
-    return frame_to_facts(case.frame)

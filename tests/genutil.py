@@ -237,7 +237,9 @@ def random_layered_kb(
 
     vec_rng = np.random.default_rng(rng.randint(0, 2**31))
     vectors = {}
-    for pred in {r.head.predicate for r in rules} | {a.predicate for r in rules for a in r.body}:
+    # Sorted, so that which predicate gets which vector does not depend on
+    # PYTHONHASHSEED.
+    for pred in sorted({r.head.predicate for r in rules} | {a.predicate for r in rules for a in r.body}):
         v = vec_rng.normal(size=dim)
         vectors[pred] = v / np.linalg.norm(v)
     return KnowledgeBase(tuple(rules), (goal,)), goal, vectors

@@ -240,21 +240,6 @@ def test_corpus_verify_percentages(tmp_path, capsys):
     assert (tmp_path / "report.json").exists()
 
 
-def test_corpus_verify_parallel_matches_serial(tmp_path, capsys):
-    manifest = _write_corpus(tmp_path)
-    code, serial, _ = _run(
-        capsys, "corpus", "verify", str(manifest),
-        "--embeddings", data_path("demo_vectors.txt"), "--json",
-    )
-    assert code == 0
-    code, parallel, _ = _run(
-        capsys, "corpus", "verify", str(manifest),
-        "--embeddings", data_path("demo_vectors.txt"), "--json", "--jobs", "4",
-    )
-    assert code == 0
-    assert json.loads(serial)["overall"] == json.loads(parallel)["overall"]
-
-
 def test_corpus_verify_empty_manifest(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"cases": []}))
@@ -275,7 +260,9 @@ def test_corpus_verify_continues_past_case_failures(tmp_path, capsys):
     )
     assert code == 0
     assert "broken.json" in err
-    assert json.loads(out)["overall"]["total"] == 4
+    payload = json.loads(out)
+    assert payload["overall"]["total"] == 4
+    assert payload["failures"] == ["broken.json"]
 
 
 def test_corpus_text_report_column_order(tmp_path, capsys):
@@ -286,15 +273,6 @@ def test_corpus_text_report_column_order(tmp_path, capsys):
     assert code == 0
     header = out.splitlines()[0]
     assert header.index("Valid") < header.index("Invalid") < header.index("Valid and non-Redundant")
-
-
-def test_bench_small(capsys):
-    code, out, _ = _run(capsys, "bench", "--rules", "60", "--runs", "2", "--json")
-    assert code == 0
-    payload = json.loads(out)
-    jsonschema.validate(payload, _schema("bench"))
-    assert payload["proof_found"] is True
-    assert payload["median_seconds"] > 0
 
 
 def test_embeddings_cache_command(tmp_path, capsys):

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import softprove
 from softprove.embeddings import EmbeddingStore
 from softprove.logic import (
     Atom,
@@ -20,6 +25,7 @@ from softprove.logic import (
     atom,
     generated_fact,
 )
+from softprove.ruleparse import parse_rule
 from softprove.prover import (
     ConfigError,
     SolverConfig,
@@ -496,3 +502,87 @@ def test_oracle_suite_stays_under_budget():
         table = cosine_pair_table({t: np.asarray(v, dtype=np.float32).astype(np.float64) for t, v in vectors.items()})
         scores = oracle_proof_scores(kb, goal.goal_atom, table)
         assert len(scores) < 10_000
+
+
+# Builds the Random(2002) suite and prints a digest of its KBs and vectors.
+_SUITE_DIGEST = """
+import hashlib, random
+from genutil import random_layered_kb
+rng = random.Random(2002)
+digest = hashlib.sha256()
+for _ in range(100):
+    kb, goal, vectors = random_layered_kb(rng)
+    digest.update(repr((kb.rules, goal)).encode())
+    for name, vector in vectors.items():
+        digest.update(name.encode() + vector.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_random_suite_is_independent_of_hash_seed():
+    path = os.pathsep.join([str(Path(__file__).parent), str(Path(softprove.__file__).parents[1])])
+    digests = set()
+    for hash_seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", _SUITE_DIGEST], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1
+
+
+# Instance 4 of Random(2002) as the suite built it when predicates took their
+# vectors in set order under PYTHONHASHSEED=0: the exhaustive oracle enumerates
+# 261,121 complete proofs, only 8 of which clear the 0.13 threshold, and none
+# of those among the first 10,000.  Vectors are the float32 values the store
+# keeps.
+_BUSHY_RULES = (
+    ("root", "violate_authority(X,Z) :- q86x0x0(X), q86x0x0(Z). = 0.894631"),
+    ("r0", "q86x0x0(X) :- q86x1x0(X). = 0.989097"),
+    ("r1", "q86x0x0(X) :- q86x1x0(X). = 0.682446"),
+    ("r2", "q86x0x1(X,Z) :- q86x1x0(X), q86x1x0(Z). = 0.635147"),
+    ("r3", "q86x0x1(X,Z) :- q86x1x0(X), q86x1x0(Z). = 0.854423"),
+    ("r4", "q86x1x0(a). = 0.590636"),
+)
+_BUSHY_VECTORS = {
+    "q86x0x1": [
+        0.021055610850453377, -0.2324972003698349, -0.1567145586013794, 0.22080080211162567,
+        -0.20172087848186493, -0.1359177976846695, 0.31721600890159607, 0.019335221499204636,
+        -0.1368289738893509, 0.46240198612213135, -0.30304789543151855, -0.14615829288959503,
+        0.2759721875190735, 0.48919832706451416, 0.11428944766521454, -0.19429020583629608,
+    ],
+    "q86x0x0": [
+        0.0025702824350446463, -0.4195407032966614, -0.23532982170581818, 0.24846339225769043,
+        0.19448353350162506, 0.3484393358230591, -0.33737415075302124, 0.2067044973373413,
+        0.14188528060913086, 0.2870595157146454, 0.3279253840446472, 0.09211269021034241,
+        0.10540391504764557, -0.3931935131549835, 0.08054270595312119, -0.018173424527049065,
+    ],
+    "q86x1x0": [
+        -0.10626830905675888, -0.40642282366752625, 0.3822733759880066, -0.11277906596660614,
+        0.24907830357551575, 0.23990285396575928, -0.32110825181007385, 0.017678052186965942,
+        0.21087557077407837, 0.06538315117359161, 0.39467352628707886, 0.04827430844306946,
+        0.36075642704963684, 0.08605406433343887, 0.17466580867767334, -0.25837838649749756,
+    ],
+    "violate_authority": [
+        -0.13925804197788239, -0.10860922187566757, -0.10015583038330078, 0.3014240562915802,
+        -0.15605036914348602, -0.24749480187892914, 0.016132891178131104, -0.01106896810233593,
+        0.05152451992034912, 0.5405866503715515, -0.24166861176490784, 0.056397419422864914,
+        0.2080940455198288, 0.40934839844703674, 0.24990002810955048, -0.39005517959594727,
+    ],
+}
+# oracle_best_score(kb, goal, cosine_pair_table(_BUSHY_VECTORS)) with the
+# default thresholds and depth, run once (about half a minute): too slow for
+# tier-1.
+_BUSHY_ORACLE_BEST = 0.3053244198706368
+
+
+def test_bushy_instance_stays_under_budget_when_pruned():
+    kb = KnowledgeBase(
+        tuple(parse_rule(clause, rule_id=rule_id) for rule_id, clause in _BUSHY_RULES),
+        (GoalSpec(MoralViolation.AUTHORITY, atom("violate_authority", "a", "a")),),
+    )
+    result = prove_goal(kb, kb.goals[0], _store_from_vectors(_BUSHY_VECTORS), SolverConfig())
+    assert result is not None
+    assert not result.budget_exceeded
+    assert result.proof_score == _BUSHY_ORACLE_BEST  # bitwise

@@ -230,6 +230,21 @@ def test_pruning_is_exact(demo_store):
     assert survivors == used
 
 
+def test_budget_ending_on_redundant_explanation_is_not_non_redundant(demo_store):
+    # One iteration repairs the case into a valid but redundant explanation;
+    # the pruned explanation is never re-verified, so it is not non-redundant.
+    _, trace = refine_loop(_prison_seed(), RefineConfig(max_iterations=1), _prison_client(), demo_store)
+    assert [r.outcome.kind.value for r in trace.records] == ["invalid_no_proof", "valid_redundant"]
+    assert trace.valid is True
+    assert trace.non_redundant is False
+
+
+def test_full_repair_is_non_redundant(demo_store):
+    _, trace = refine_loop(_prison_seed(), RefineConfig(), _prison_client(), demo_store)
+    assert trace.valid is True
+    assert trace.non_redundant is True
+
+
 def test_zero_iterations_single_verification(demo_store):
     client = _prison_client()
     _, trace = refine_loop(_prison_seed(), RefineConfig(max_iterations=0), client, demo_store)
