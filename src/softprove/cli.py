@@ -4,6 +4,11 @@ embeddings cache.
 Exit codes: 0 success, 1 input error, 2 config error, 3 no proof,
 4 LLM/client error.  Configuration precedence is flags > environment >
 config file (plain ``key=value`` lines).
+
+Every command that proves takes the solver's three settings and no other:
+``--unify-threshold``, ``--proof-threshold`` and ``--max-depth``.  Goal
+constants name SRL role slots and match by equality only, and every
+reported proof clears the proof threshold.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .embeddings import (
     load_embeddings_cached,
 )
 from .logic import KnowledgeBase, LogicError
-from .principles import load_principles, open_goals
+from .principles import load_principles
 from .prover import (
     ConfigError,
     SolverConfig,
@@ -90,8 +95,6 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
         unify_threshold=_setting(args, "unify_threshold", 0.5, float),
         proof_threshold=_setting(args, "proof_threshold", 0.13, float),
         max_depth=_setting(args, "max_depth", 10, int),
-        weak_constants=bool(getattr(args, "weak_constants", False)),
-        strict_threshold=bool(getattr(args, "strict_threshold", False)),
     )
 
 
@@ -137,8 +140,6 @@ def cmd_prove(args: argparse.Namespace) -> int:
     goals = doc.goal_decls
     if not goals:
         raise ConfigError(f"{args.kb}: no goal declaration (`goal <- ...`) found")
-    if args.open_goals:
-        goals = open_goals(goals)
     kb = KnowledgeBase(rules=doc.rules, goals=goals)
     outcome = prove_all_goals(kb, kb.goals, _store(args), _solver_config(args))
     if outcome is None:
@@ -152,8 +153,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     case, rules = case_from_dict(json.loads(Path(args.case).read_text("utf-8")))
     principle_doc = _principles(args)
-    goals = open_goals(principle_doc.goal_decls) if args.open_goals else principle_doc.goal_decls
-    kb = assemble_kb(principle_doc.rules, goals, frame_to_facts(case.frame), rules)
+    kb = assemble_kb(principle_doc.rules, principle_doc.goal_decls, frame_to_facts(case.frame), rules)
     outcome = verify_case(case, kb, _store(args), _solver_config(args))
     payload = {
         "case_id": case.id,
@@ -263,9 +263,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--unify-threshold", dest="unify_threshold", type=float, default=None)
     p.add_argument("--proof-threshold", dest="proof_threshold", type=float, default=None)
     p.add_argument("--max-depth", dest="max_depth", type=int, default=None)
-    p.add_argument("--weak-constants", action="store_true")
-    p.add_argument("--strict-threshold", action="store_true")
-    p.add_argument("--open-goals", action="store_true")
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:

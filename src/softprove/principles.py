@@ -7,7 +7,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Union
 
-from .logic import Constant, GoalSpec, PRINCIPLE, Rule, Variable
+from .logic import GoalSpec, PRINCIPLE, Rule
 from .ruleparse import RuleDocument, parse_kb
 
 PRINCIPLE_ID_PREFIX = "p"
@@ -36,14 +36,3 @@ def default_principles() -> tuple[Rule, ...]:
 def default_goals() -> tuple[GoalSpec, ...]:
     return load_principles().goal_decls
 
-
-def open_goals(goals: tuple[GoalSpec, ...]) -> tuple[GoalSpec, ...]:
-    """Replace constant goal arguments with variables (``--open-goals`` mode)."""
-    opened = []
-    for spec in goals:
-        args = tuple(
-            Variable(term.symbol.capitalize()) if isinstance(term, Constant) else term
-            for term in spec.goal_atom.args
-        )
-        opened.append(GoalSpec(spec.violation, spec.goal_atom.__class__(spec.goal_atom.predicate, args)))
-    return tuple(opened)

@@ -2,8 +2,10 @@
 
 A proof scores the running product, in depth-first pre-order, of
 ``unification_score * rule_score`` over its steps.  Because every factor is
-at most 1.0, partial branches whose running product is already below the
-proof threshold can be pruned without changing the best complete proof.
+at most 1.0, the search cuts every branch whose running product falls below
+the proof threshold, so every complete proof it yields clears the threshold.
+Predicates unify by embedding similarity; constants name SRL role slots
+(``action``, ``patient``, ``agent``) and match by equality only.
 
 The enumeration is exhaustive up to ``max_depth`` and fully deterministic:
 rules are tried in knowledge-base order and ties between equal-scoring proofs
@@ -12,7 +14,7 @@ break by fewer steps, then by lexicographically smallest sorted rule-id set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
 from .embeddings import EmbeddingStore, weak_unify_score
@@ -38,19 +40,22 @@ class ConfigError(ValueError):
     pass
 
 
+# Complete proofs one goal's search may enumerate before it stops and flags
+# its result ``budget_exceeded``.
+MAX_PROOFS_PER_GOAL = 10_000
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Search thresholds and limits; defaults follow the tuned configuration."""
+    """The solver's three settings; defaults follow the tuned configuration.
+
+    A predicate pair unifies at or above ``unify_threshold``; a proof counts
+    at or above ``proof_threshold``; no proof goes deeper than ``max_depth``.
+    """
 
     unify_threshold: float = 0.5
     proof_threshold: float = 0.13
     max_depth: int = 10
-    max_proofs_per_goal: int = 10_000
-    # Extensions beyond the core knobs: weak constant matching, a strict `>`
-    # proof-threshold mode, and a pruning toggle kept for invariant testing.
-    weak_constants: bool = False
-    strict_threshold: bool = False
-    prune: bool = True
 
     def __post_init__(self) -> None:
         if not (0.0 < self.unify_threshold <= 1.0):
@@ -59,8 +64,6 @@ class SolverConfig:
             raise ConfigError(f"proof_threshold must be in (0, 1]: {self.proof_threshold}")
         if self.max_depth < 1:
             raise ConfigError(f"max_depth must be >= 1: {self.max_depth}")
-        if self.max_proofs_per_goal < 1:
-            raise ConfigError(f"max_proofs_per_goal must be >= 1: {self.max_proofs_per_goal}")
 
 
 @dataclass(frozen=True)
@@ -97,9 +100,8 @@ def weak_unify_atoms(
     """Unify goal atom ``a`` with rule head ``b`` under ``theta``.
 
     Predicates match exactly (score 1.0) or by embedding similarity at or
-    above the unify threshold.  Arguments match structurally; constants
-    require string equality unless ``weak_constants`` is set, in which case
-    their pair scores multiply into the returned score.
+    above the unify threshold.  Arguments match structurally, and constants
+    by equality only, so the returned score is the predicate score.
     """
     if a.arity != b.arity:
         return None
@@ -113,16 +115,9 @@ def weak_unify_atoms(
         left = apply_term(theta, raw_left)
         right = apply_term(theta, raw_right)
         if isinstance(left, Constant) and isinstance(right, Constant):
-            if left.symbol == right.symbol:
-                continue
-            if not config.weak_constants:
+            if left.symbol != right.symbol:
                 return None
-            const_score = weak_unify_score(store, left.symbol, right.symbol)
-            if const_score < config.unify_threshold:
-                return None
-            score = score * const_score
-            continue
-        if isinstance(left, Variable) and isinstance(right, Variable):
+        elif isinstance(left, Variable) and isinstance(right, Variable):
             if left.name == right.name:
                 continue
             # Bind the rule-side variable so goal naming survives in output.
@@ -180,13 +175,6 @@ class _Search:
         body = tuple(Atom(a.predicate, tuple(fresh(t) for t in a.args)) for a in rule.body)
         return head, body
 
-    def _pruned(self, running: float) -> bool:
-        if not self.config.prune:
-            return False
-        if self.config.strict_threshold:
-            return running <= self.config.proof_threshold
-        return running < self.config.proof_threshold
-
     def solve(
         self, goal_atom: Atom, theta: Substitution, depth: int, running: float
     ) -> Iterator[tuple[Substitution, _RawNode, float]]:
@@ -202,7 +190,7 @@ class _Search:
             theta1, unify = unified
             factor = unify * rule.score
             running1 = running * factor
-            if self._pruned(running1):
+            if running1 < self.config.proof_threshold:
                 continue
             for theta2, children, running2 in self._solve_body(body, theta1, depth, running1):
                 node = _RawNode(goal_atom, rule.id, unify, children)
@@ -221,17 +209,14 @@ class _Search:
 
     def run(self, spec: GoalSpec) -> Optional[ProofResult]:
         self._reserved = {v.name for v in spec.goal_atom.variables()}
-        accepts = self._accepts
         best: Optional[_Candidate] = None
         complete = 0
         truncated = False
         for theta, node, score in self.solve(spec.goal_atom, EMPTY_SUBSTITUTION, 1, 1.0):
             complete += 1
-            if complete > self.config.max_proofs_per_goal:
+            if complete > MAX_PROOFS_PER_GOAL:
                 truncated = True
                 break
-            if not accepts(score):
-                continue
             candidate = _Candidate(
                 score=score,
                 steps=self._count(node),
@@ -251,11 +236,6 @@ class _Search:
             used_rule_ids=frozenset(best.rule_ids),
             budget_exceeded=truncated,
         )
-
-    def _accepts(self, score: float) -> bool:
-        if self.config.strict_threshold:
-            return score > self.config.proof_threshold
-        return score >= self.config.proof_threshold
 
     @staticmethod
     def _better(candidate: _Candidate, best: _Candidate) -> bool:

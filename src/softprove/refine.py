@@ -2,13 +2,14 @@
 abductive premise generation, deductive hypothesis revision, and the bounded
 refinement loop that ties them to the solver.
 
-Each iteration formalizes the current explanation, assembles a knowledge
-base, and verifies it.  A valid proof ends the loop; a valid-but-redundant
-proof first prunes the explanation to exactly the facts used in the proof
-and, budget permitting, re-verifies once so the trace records the pruned
-state.  An invalid iteration asks the client for missing premises (seeded
-with whatever facts survived in the failed proof) and then re-derives the
-hypothesis from the extended explanation.
+Each iteration formalizes the explanation's new facts (each fact once per
+loop, its dropped clauses recorded in the trace), assembles a knowledge base
+from every current fact's rules, and verifies it.  A valid proof ends the
+loop; a valid-but-redundant proof first prunes the explanation to exactly the
+facts used in the proof and, budget permitting, re-verifies once so the trace
+records the pruned state.  An invalid iteration asks the client for missing
+premises (seeded with whatever facts survived in the failed proof) and then
+re-derives the hypothesis from the extended explanation.
 """
 
 from __future__ import annotations
@@ -59,7 +60,11 @@ class UnknownViolation(RefineError):
 
 
 class AutoformalizationEmpty(RefineError):
-    pass
+    """No rule parsed; ``warnings`` names the clauses dropped on the way."""
+
+    def __init__(self, message: str, warnings: Sequence[str] = ()) -> None:
+        super().__init__(message)
+        self.warnings = list(warnings)
 
 
 class RefineAborted(RefineError):
@@ -188,7 +193,7 @@ def autoformalize(
             logger.warning(message)
         rules.extend(parsed)
     if not rules:
-        raise AutoformalizationEmpty("no formalized rules parsed from any fact")
+        raise AutoformalizationEmpty("no formalized rules parsed from any fact", warnings)
     return rules, warnings
 
 
@@ -298,6 +303,7 @@ class IterationRecord:
     outcome: VerificationOutcome
     added_facts: tuple[Fact, ...] = ()
     pruned_fact_ids: tuple[str, ...] = ()
+    dropped_clauses: tuple[str, ...] = ()  # warnings from formalizing this iteration's new facts
 
 
 @dataclass(frozen=True)
@@ -320,6 +326,7 @@ class RefineTrace:
                 "explanation": [{"id": i, "text": t} for i, t in record.explanation],
                 "added_facts": [{"id": i, "text": t} for i, t in record.added_facts],
                 "pruned_fact_ids": list(record.pruned_fact_ids),
+                "dropped_clauses": list(record.dropped_clauses),
                 "outcome": record.outcome.kind.value,
                 "entailed": record.outcome.entailed.value if record.outcome.entailed else None,
                 "unused_fact_ids": sorted(record.outcome.unused_fact_ids),
@@ -371,16 +378,28 @@ def refine_loop(
         raise abort(exc) from exc
 
     facts: tuple[Fact, ...] = tuple(fact_list)
+    formalized: dict[str, list[Rule]] = {}  # fact id -> its rules; each fact is formalized once
     next_fact_index = len(facts) + 1
     iteration = 0
     added: tuple[Fact, ...] = ()
     confirming = False
 
     while True:
-        try:
-            rules, _ = autoformalize(facts, seed.frame, client, config.params)
-        except (ChatError, RefineError) as exc:
-            raise abort(exc) from exc
+        fresh = [fact for fact in facts if fact[0] not in formalized]
+        dropped: list[str] = []
+        if fresh:
+            try:
+                new_rules, dropped = autoformalize(fresh, seed.frame, client, config.params)
+            except AutoformalizationEmpty as exc:
+                new_rules, dropped = [], exc.warnings
+            except (ChatError, RefineError) as exc:
+                raise abort(exc) from exc
+            for fid, _ in fresh:
+                formalized[fid] = [r for r in new_rules if r.origin.nl_fact_id == fid]
+        rules = [rule for fid, _ in facts for rule in formalized[fid]]
+        if not rules:
+            empty = AutoformalizationEmpty("no formalized rules parsed from any fact", dropped)
+            raise abort(empty) from empty
         kb = assemble_kb(principle_doc.rules, principle_doc.goal_decls, srl_rules, rules)
         case = EthicalCase(
             id=seed.id,
@@ -400,6 +419,7 @@ def refine_loop(
             proof=outcome.proof,
             outcome=outcome,
             added_facts=added,
+            dropped_clauses=tuple(dropped),
         )
         added = ()
 

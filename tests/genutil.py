@@ -1,18 +1,18 @@
 """Shared test machinery: an independent exhaustive proof enumerator and
 seeded random generators for knowledge bases and rule documents.
 
-The oracle re-implements proof enumeration from scratch (plain dicts, no
-pruning, no candidate ranking) so the solver's searched best score can be
-checked against a full enumeration.  Scores follow the shared contract:
-running product, depth-first pre-order, ``running * (unify * rule_score)``
-at every step.
+The oracle re-implements proof enumeration from scratch (plain dicts, an
+explicit stack, no pruning, no candidate ranking) so the solver's best proof
+can be checked against a full enumeration.  Scores follow the shared
+contract: running product, depth-first pre-order, ``running * (unify *
+rule_score)`` at every step.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -57,15 +57,23 @@ def cosine_pair_table(vectors: dict[str, np.ndarray]) -> PairScore:
     return score
 
 
-def oracle_proof_scores(
+Proof = tuple[float, int, tuple[str, ...]]  # (score, steps, sorted rule ids)
+
+
+def oracle_proofs(
     kb: KnowledgeBase,
     goal_atom: Atom,
     pair_score: PairScore,
     unify_threshold: float = 0.5,
     max_depth: int = 10,
-) -> list[float]:
-    """Scores of every complete proof, enumerated without pruning."""
-    scores: list[float] = []
+) -> Iterator[Proof]:
+    """Every complete proof, enumerated without pruning and without recursion.
+
+    Each stack entry is a resolvent: the atoms still to prove, each with its
+    depth, under the bindings ``theta``.  Resolving the leftmost atom and
+    putting the rule's body in front of the rest applies the steps in
+    depth-first pre-order, the order in which the score multiplies.
+    """
     fresh = itertools.count()
 
     def rename(rule: Rule) -> tuple[Atom, list[Atom]]:
@@ -106,9 +114,16 @@ def oracle_proof_scores(
                 theta[right.name] = left
         return theta, u
 
-    def prove(atom: Atom, theta: dict, depth: int, running: float, after: Callable) -> None:
+    stack = [(((goal_atom, 1),), {}, 1.0, 0, frozenset())]
+    while stack:
+        goals, theta, running, steps, ids = stack.pop()
+        if not goals:
+            yield running, steps, tuple(sorted(ids))
+            continue
+        (atom, depth), rest = goals[0], goals[1:]
         if depth > max_depth:
-            return
+            continue
+        children = []
         for rule in kb.rules:
             if rule.head.arity != atom.arity:
                 continue
@@ -118,39 +133,38 @@ def oracle_proof_scores(
                 continue
             theta1, u = unified
             factor = u * rule.score
-            prove_body(body, theta1, depth, running * factor, after)
-
-    def prove_body(atoms: list[Atom], theta: dict, depth: int, running: float, after: Callable) -> None:
-        if not atoms:
-            after(theta, running)
-            return
-        first, rest = atoms[0], atoms[1:]
-        prove(
-            first,
-            theta,
-            depth + 1,
-            running,
-            lambda theta1, running1: prove_body(rest, theta1, depth, running1, after),
-        )
-
-    prove(goal_atom, {}, 1, 1.0, lambda _theta, score: scores.append(score))
-    return scores
+            resolvent = tuple((b, depth + 1) for b in body) + rest
+            children.append((resolvent, theta1, running * factor, steps + 1, ids | {rule.id}))
+        stack.extend(reversed(children))  # the first rule's proofs come first
 
 
-def oracle_best_score(
+def oracle_proof_scores(
+    kb: KnowledgeBase,
+    goal_atom: Atom,
+    pair_score: PairScore,
+    unify_threshold: float = 0.5,
+    max_depth: int = 10,
+) -> list[float]:
+    """Scores of every complete proof, enumerated without pruning."""
+    return [score for score, _, _ in oracle_proofs(kb, goal_atom, pair_score, unify_threshold, max_depth)]
+
+
+def oracle_best(
     kb: KnowledgeBase,
     goal_atom: Atom,
     pair_score: PairScore,
     unify_threshold: float = 0.5,
     proof_threshold: float = 0.13,
     max_depth: int = 10,
-) -> Optional[float]:
+) -> Optional[Proof]:
+    """The contract's best proof among those that clear the threshold: the
+    highest score, then the fewest steps, then the smallest sorted rule-id set."""
     accepted = [
-        s
-        for s in oracle_proof_scores(kb, goal_atom, pair_score, unify_threshold, max_depth)
-        if s >= proof_threshold
+        proof
+        for proof in oracle_proofs(kb, goal_atom, pair_score, unify_threshold, max_depth)
+        if proof[0] >= proof_threshold
     ]
-    return max(accepted) if accepted else None
+    return min(accepted, key=lambda proof: (-proof[0], proof[1], proof[2]), default=None)
 
 
 # -- random knowledge bases -----------------------------------------------------

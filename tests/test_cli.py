@@ -1,10 +1,13 @@
+import argparse
+import dataclasses
 import json
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from softprove.cli import main
+from softprove.cli import _add_solver_flags, main
+from softprove.prover import SolverConfig
 from conftest import data_path
 
 
@@ -122,6 +125,12 @@ def test_prove_threshold_flags(kb_file, capsys):
         "0.95",
     )
     assert code == 3  # the weak hop no longer clears the bar
+
+
+def test_solver_flags_are_exactly_the_solver_config_fields():
+    parser = argparse.ArgumentParser(add_help=False)
+    _add_solver_flags(parser)
+    assert {action.dest for action in parser._actions} == {f.name for f in dataclasses.fields(SolverConfig)}
 
 
 def test_verify_frog_case(capsys):

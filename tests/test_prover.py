@@ -39,8 +39,9 @@ from softprove.prover import (
 from genutil import (
     cosine_pair_table,
     exact_pair_score,
-    oracle_best_score,
+    oracle_best,
     oracle_proof_scores,
+    oracle_proofs,
     random_layered_kb,
 )
 
@@ -114,28 +115,16 @@ def test_unify_arity_mismatch():
 
 
 def test_unify_constant_equality_is_strict_by_default(demo_store):
+    from softprove.embeddings import weak_unify_score
+
+    # Similar enough to unify as predicates, but constants match by equality only.
+    assert weak_unify_score(demo_store, "the_frog", "frog") >= SolverConfig().unify_threshold
     assert (
         weak_unify_atoms(
             atom("animal", "the_frog"), atom("animal", "frog"), EMPTY_SUBSTITUTION, demo_store, SolverConfig()
         )
         is None
     )
-
-
-def test_unify_weak_constants_multiply_in(demo_store):
-    result = weak_unify_atoms(
-        atom("animal", "the_frog"),
-        atom("animal", "frog"),
-        EMPTY_SUBSTITUTION,
-        demo_store,
-        SolverConfig(weak_constants=True),
-    )
-    assert result is not None
-    _, score = result
-    from softprove.embeddings import weak_unify_score
-
-    assert score == pytest.approx(weak_unify_score(demo_store, "the_frog", "frog"))
-    assert score < 1.0
 
 
 def test_unify_respects_existing_bindings():
@@ -187,14 +176,12 @@ def test_proof_below_threshold_rejected():
     assert found is not None
 
 
-def test_strict_threshold_mode():
+def test_proof_exactly_at_threshold_is_accepted():
     kb = _kb("violate_care_physical(X,Y) :- w(X). = 0.5", "w(action). = 0.26")
     exactly = prove_goal(kb, kb.goals[0], EMPTY_STORE, SolverConfig(proof_threshold=0.13))
-    assert exactly is not None and exactly.proof_score == pytest.approx(0.13)
-    strict = prove_goal(
-        kb, kb.goals[0], EMPTY_STORE, SolverConfig(proof_threshold=0.13, strict_threshold=True)
-    )
-    assert strict is None
+    assert exactly is not None and exactly.proof_score == 0.13  # 0.5 * 0.26, exact in binary
+    above = prove_goal(kb, kb.goals[0], EMPTY_STORE, SolverConfig(proof_threshold=0.1300001))
+    assert above is None
 
 
 def test_depth_limit_cuts_chains():
@@ -241,14 +228,17 @@ def test_tie_break_prefers_smaller_rule_ids():
 
 
 def test_budget_flag_on_truncation():
-    clauses = ["violate_care_physical(X,Y) :- p(X)."]
-    for i in range(6):
-        clauses.append("p(action).")
-    kb = _kb(*clauses)
-    capped = prove_goal(kb, kb.goals[0], EMPTY_STORE, SolverConfig(max_proofs_per_goal=3))
-    assert capped is not None
+    # n copies of p(action) give n * n proofs of score 1.0; the budget is
+    # MAX_PROOFS_PER_GOAL = 10,000 complete proofs.
+    def search(copies: int):
+        kb = _kb("violate_care_physical(X,Y) :- p(X), p(X).", *["p(action)."] * copies)
+        return prove_goal(kb, kb.goals[0], EMPTY_STORE, SolverConfig())
+
+    capped = search(101)  # 10,201 proofs
+    assert capped is not None and capped.proof_score == 1.0
     assert capped.budget_exceeded
-    uncapped = prove_goal(kb, kb.goals[0], EMPTY_STORE, SolverConfig())
+    uncapped = search(99)  # 9,801 proofs
+    assert uncapped is not None and uncapped.proof_score == 1.0
     assert not uncapped.budget_exceeded
 
 
@@ -408,42 +398,73 @@ def _store_from_vectors(vectors) -> EmbeddingStore:
     return EmbeddingStore(dim, {k: np.asarray(v) for k, v in vectors.items()})
 
 
+def _assert_oracle_best(result, expected) -> None:
+    """The search's whole result is the oracle's best: score to the last bit,
+    step count and sorted rule ids."""
+    if expected is None:
+        assert result is None
+        return
+    score, steps, rule_ids = expected
+    assert result is not None
+    assert result.proof_score == score  # bitwise
+    assert sum(1 for _ in result.proof.walk()) == steps
+    assert tuple(sorted(result.used_rule_ids)) == rule_ids
+
+
+def _assert_weak_suite_matches_oracle(seed: int) -> None:
+    rng = random.Random(seed)
+    for _ in range(100):
+        kb, goal, vectors = random_layered_kb(rng)
+        result = prove_goal(kb, goal, _store_from_vectors(vectors), SolverConfig())
+        # The store keeps float32 vectors; the oracle scores those in float64.
+        table = cosine_pair_table({t: np.asarray(v, dtype=np.float32).astype(np.float64) for t, v in vectors.items()})
+        _assert_oracle_best(result, oracle_best(kb, goal.goal_atom, table))
+
+
 def test_oracle_equivalence_exact_matching_suite():
     rng = random.Random(1001)
     for _ in range(100):
         kb, goal, _ = random_layered_kb(rng)
         result = prove_goal(kb, goal, EMPTY_STORE, SolverConfig())
-        expected = oracle_best_score(kb, goal.goal_atom, exact_pair_score)
-        if expected is None:
-            assert result is None
-        else:
-            assert result is not None
-            assert result.proof_score == expected  # bitwise
+        _assert_oracle_best(result, oracle_best(kb, goal.goal_atom, exact_pair_score))
+
+
+def test_oracle_equivalence_tie_suite():
+    # Every rule scores 1.0, so every proof ties on score and the tie-break
+    # (fewer steps, then the smallest sorted rule-id set) picks the best.
+    rng = random.Random(1001)
+    for _ in range(100):
+        kb, goal, _ = random_layered_kb(rng)
+        kb = KnowledgeBase(tuple(replace(r, score=1.0) for r in kb.rules), kb.goals)
+        result = prove_goal(kb, goal, EMPTY_STORE, SolverConfig())
+        _assert_oracle_best(result, oracle_best(kb, goal.goal_atom, exact_pair_score))
 
 
 def test_oracle_equivalence_weak_matching_suite():
-    rng = random.Random(2002)
-    for _ in range(100):
-        kb, goal, vectors = random_layered_kb(rng)
-        store = _store_from_vectors(vectors)
-        result = prove_goal(kb, goal, store, SolverConfig())
-        table = cosine_pair_table({t: np.asarray(v, dtype=np.float32).astype(np.float64) for t, v in vectors.items()})
-        expected = oracle_best_score(kb, goal.goal_atom, table)
-        if expected is None:
-            assert result is None
-        else:
-            assert result is not None
-            assert result.proof_score == expected  # bitwise
+    _assert_weak_suite_matches_oracle(2002)
 
 
-def test_prune_safety_100_instances():
-    rng = random.Random(3003)
-    for _ in range(100):
-        kb, goal, vectors = random_layered_kb(rng)
-        store = _store_from_vectors(vectors)
-        pruned = prove_goal(kb, goal, store, SolverConfig(prune=True))
-        unpruned = prove_goal(kb, goal, store, SolverConfig(prune=False))
-        assert pruned == unpruned
+def test_oracle_equivalence_weak_matching_suite_3003():
+    _assert_weak_suite_matches_oracle(3003)
+
+
+def test_oracle_enumerates_deep_chain_without_recursion():
+    # A 100-step chain under a recursion limit a few dozen frames above the
+    # caller's depth: the oracle must not recurse once per step.
+    chain = ["violate_care_physical(X,Y) :- c0(X)."]
+    chain += [f"c{i}(X) :- c{i + 1}(X)." for i in range(98)]
+    chain.append("c98(action).")
+    kb = _kb(*chain)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        proofs = list(oracle_proofs(kb, kb.goals[0].goal_atom, exact_pair_score, max_depth=100))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert proofs == [(1.0, 100, tuple(sorted(r.id for r in kb.rules)))]
 
 
 def test_monotonicity_under_rule_addition_100_instances():
@@ -571,10 +592,9 @@ _BUSHY_VECTORS = {
         0.2080940455198288, 0.40934839844703674, 0.24990002810955048, -0.39005517959594727,
     ],
 }
-# oracle_best_score(kb, goal, cosine_pair_table(_BUSHY_VECTORS)) with the
-# default thresholds and depth, run once (about half a minute): too slow for
-# tier-1.
-_BUSHY_ORACLE_BEST = 0.3053244198706368
+# oracle_best(kb, goal, cosine_pair_table(_BUSHY_VECTORS)) with the default
+# thresholds and depth, run once (about half a minute): too slow for tier-1.
+_BUSHY_ORACLE_BEST = (0.3053244198706368, 5, ("r0", "r4", "root"))
 
 
 def test_bushy_instance_stays_under_budget_when_pruned():
@@ -585,4 +605,4 @@ def test_bushy_instance_stays_under_budget_when_pruned():
     result = prove_goal(kb, kb.goals[0], _store_from_vectors(_BUSHY_VECTORS), SolverConfig())
     assert result is not None
     assert not result.budget_exceeded
-    assert result.proof_score == _BUSHY_ORACLE_BEST  # bitwise
+    _assert_oracle_best(result, _BUSHY_ORACLE_BEST)

@@ -239,6 +239,37 @@ def test_budget_ending_on_redundant_explanation_is_not_non_redundant(demo_store)
     assert trace.non_redundant is False
 
 
+def test_prison_formalizes_each_fact_once(demo_store):
+    # Iterations hold 2, 7 and 3 facts; 7 distinct facts in all.
+    client = _prison_client()
+    refine_loop(_prison_seed(), RefineConfig(), client, demo_store)
+    prompts = [prompt for role, prompt in client.requests if role == "autoformalize"]
+    assert len(prompts) == 7
+    assert len(set(prompts)) == 7
+
+
+def test_dropped_clauses_reach_the_trace(demo_store):
+    # f1's reply keeps a malformed line after the re-ask; f2's reply parses to
+    # nothing, which must not stop the loop while f1 still has a rule.
+    client = _mock(
+        [
+            ("semantic", "frog", "Premises:\n1. Unhelpful fact.\nHypothesis: care"),
+            ("autoformalize", "Unhelpful", "unrelated_thing(X) :- crush(X). = 1.0\nnot a clause"),
+            ("autoformalize", "Another unhelpful", "nothing usable"),
+            ("abduce", "", "Premises:\n1. Another unhelpful fact."),
+            ("deduce", "", "Hypothesis: care"),
+        ]
+    )
+    seed = CaseSeed(id="frog", statement="the frog", frame=FROG_FRAME)
+    _, trace = refine_loop(seed, RefineConfig(max_iterations=2), client, demo_store)
+    dropped = [record["dropped_clauses"] for record in trace.to_dict()["iterations"]]
+    assert len(dropped) == 3
+    assert len(dropped[0]) == 1 and "fact f1: dropped unparsable clause 'not a clause'" in dropped[0][0]
+    assert len(dropped[1]) == 1 and "fact f2: dropped unparsable clause 'nothing usable'" in dropped[1][0]
+    assert dropped[2] == []
+    assert [r.outcome.kind.value for r in trace.records] == ["invalid_no_proof"] * 3
+
+
 def test_full_repair_is_non_redundant(demo_store):
     _, trace = refine_loop(_prison_seed(), RefineConfig(), _prison_client(), demo_store)
     assert trace.valid is True
