@@ -2,8 +2,9 @@
 embeddings cache.
 
 Exit codes: 0 success, 1 input error, 2 config error, 3 no proof,
-4 LLM/client error.  Configuration precedence is flags > environment >
-config file (plain ``key=value`` lines).
+4 LLM/client error.  Settings come from flags only; the chat client's
+endpoint, key and model also read ``SOFTPROVE_LLM_URL``, ``SOFTPROVE_LLM_KEY``
+and ``SOFTPROVE_LLM_MODEL``.
 
 Every command that proves takes the solver's three settings and no other:
 ``--unify-threshold``, ``--proof-threshold`` and ``--max-depth``.  Goal
@@ -15,10 +16,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from dataclasses import fields
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from .chat import ChatError, ChatParams, HttpChatClient, MockTranscript, default_model
 from .embeddings import (
@@ -55,51 +56,19 @@ EXIT_CONFIG = 2
 EXIT_NO_PROOF = 3
 EXIT_CLIENT = 4
 
-ENV_PREFIX = "SOFTPROVE_"
-
 
 class InputError(ValueError):
     pass
 
 
-def _read_config_file(path: Optional[str]) -> dict[str, str]:
-    if not path:
-        return {}
-    values: dict[str, str] = {}
-    for line_no, line in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{line_no}: expected key=value")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
-    return values
-
-
-def _setting(args: argparse.Namespace, key: str, default, cast: Callable):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    env = os.environ.get(ENV_PREFIX + key.upper())
-    if env is not None:
-        return cast(env)
-    file_value = args._file_config.get(key)
-    if file_value is not None:
-        return cast(file_value)
-    return default
-
-
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(
-        unify_threshold=_setting(args, "unify_threshold", 0.5, float),
-        proof_threshold=_setting(args, "proof_threshold", 0.13, float),
-        max_depth=_setting(args, "max_depth", 10, int),
-    )
+    """The solver flags that are set; ``SolverConfig`` supplies the rest."""
+    values = {f.name: getattr(args, f.name) for f in fields(SolverConfig)}
+    return SolverConfig(**{name: value for name, value in values.items() if value is not None})
 
 
 def _store(args: argparse.Namespace) -> EmbeddingStore:
-    path = _setting(args, "embeddings", None, str)
+    path = args.embeddings
     if path is None:
         return EmbeddingStore.empty()
     cache = getattr(args, "embeddings_cache", None)
@@ -110,7 +79,7 @@ def _store(args: argparse.Namespace) -> EmbeddingStore:
 
 
 def _principles(args: argparse.Namespace):
-    return load_principles(_setting(args, "principles", None, str))
+    return load_principles(args.principles)
 
 
 def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
@@ -193,7 +162,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
     config = RefineConfig(
         max_iterations=args.iterations,
         solver=_solver_config(args),
-        principles_path=_setting(args, "principles", None, str),
+        principles_path=args.principles,
         params=ChatParams(model=default_model(), temperature=args.temperature),
     )
     case, trace = refine_loop(seed, config, client, _store(args))
@@ -241,7 +210,7 @@ def cmd_corpus_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_embeddings_cache(args: argparse.Namespace) -> int:
-    source = _setting(args, "embeddings", None, str)
+    source = args.embeddings
     if source is None:
         raise ConfigError("embeddings cache needs --embeddings <file>")
     cache = args.out or str(Path(source).with_suffix(Path(source).suffix + ".spemb"))
@@ -270,7 +239,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--embeddings-cache", default=None, help="binary vector cache path")
     p.add_argument("--limit", type=int, default=None, help="load only the first N vector lines")
     p.add_argument("--principles", default=None, help="principle library override")
-    p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
@@ -330,7 +298,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args._file_config = _read_config_file(getattr(args, "config", None))
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

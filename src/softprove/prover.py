@@ -8,8 +8,12 @@ Predicates unify by embedding similarity; constants name SRL role slots
 (``action``, ``patient``, ``agent``) and match by equality only.
 
 The enumeration is exhaustive up to ``max_depth`` and fully deterministic:
-rules are tried in knowledge-base order and ties between equal-scoring proofs
-break by fewer steps, then by lexicographically smallest sorted rule-id set.
+rules are tried in knowledge-base order, and only a rule whose head can unify
+with the goal (same arity, predicate at or above the unify threshold) is
+renamed apart and tried.  The best proof has the smallest key
+``(-score, steps, sorted rule ids)``: the highest score, then fewer steps,
+then the lexicographically smallest sorted rule-id set; the first found wins
+an exact tie.
 """
 
 from __future__ import annotations
@@ -90,6 +94,20 @@ class ProofResult:
     budget_exceeded: bool = False
 
 
+def _head_score(a: Atom, b: Atom, store: EmbeddingStore, config: SolverConfig) -> Optional[float]:
+    """Predicate score of goal ``a`` against head ``b``, or None if they cannot unify.
+
+    Arities must be equal; predicates match exactly (score 1.0) or by
+    embedding similarity at or above the unify threshold.
+    """
+    if a.arity != b.arity:
+        return None
+    if a.predicate == b.predicate:
+        return 1.0
+    score = weak_unify_score(store, a.predicate, b.predicate)
+    return score if score >= config.unify_threshold else None
+
+
 def weak_unify_atoms(
     a: Atom,
     b: Atom,
@@ -99,18 +117,12 @@ def weak_unify_atoms(
 ) -> Optional[tuple[Substitution, float]]:
     """Unify goal atom ``a`` with rule head ``b`` under ``theta``.
 
-    Predicates match exactly (score 1.0) or by embedding similarity at or
-    above the unify threshold.  Arguments match structurally, and constants
-    by equality only, so the returned score is the predicate score.
+    Heads pass by ``_head_score``.  Arguments match structurally, and
+    constants by equality only, so the returned score is the predicate score.
     """
-    if a.arity != b.arity:
+    score = _head_score(a, b, store, config)
+    if score is None:
         return None
-    if a.predicate == b.predicate:
-        score = 1.0
-    else:
-        score = weak_unify_score(store, a.predicate, b.predicate)
-        if score < config.unify_threshold:
-            return None
     for raw_left, raw_right in zip(a.args, b.args):
         left = apply_term(theta, raw_left)
         right = apply_term(theta, raw_right)
@@ -127,23 +139,6 @@ def weak_unify_atoms(
         else:
             theta = compose(theta, Substitution({right.name: left}))
     return theta, score
-
-
-@dataclass
-class _RawNode:
-    goal_atom: Atom
-    rule_id: str
-    unification_score: float
-    children: tuple["_RawNode", ...]
-
-
-@dataclass
-class _Candidate:
-    score: float
-    steps: int
-    rule_ids: tuple[str, ...]
-    node: _RawNode
-    theta: Substitution
 
 
 class _Search:
@@ -177,11 +172,12 @@ class _Search:
 
     def solve(
         self, goal_atom: Atom, theta: Substitution, depth: int, running: float
-    ) -> Iterator[tuple[Substitution, _RawNode, float]]:
+    ) -> Iterator[tuple[Substitution, ProofStep, float]]:
+        """Yield (θ, proof tree, running score); tree goals are not yet under θ."""
         if depth > self.config.max_depth:
             return
         for rule in self.kb.rules:
-            if rule.head.arity != goal_atom.arity:
+            if _head_score(goal_atom, rule.head, self.store, self.config) is None:
                 continue
             head, body = self._rename(rule)
             unified = weak_unify_atoms(goal_atom, head, theta, self.store, self.config)
@@ -193,12 +189,11 @@ class _Search:
             if running1 < self.config.proof_threshold:
                 continue
             for theta2, children, running2 in self._solve_body(body, theta1, depth, running1):
-                node = _RawNode(goal_atom, rule.id, unify, children)
-                yield theta2, node, running2
+                yield theta2, ProofStep(goal_atom, rule.id, unify, children), running2
 
     def _solve_body(
         self, atoms: tuple[Atom, ...], theta: Substitution, depth: int, running: float
-    ) -> Iterator[tuple[Substitution, tuple[_RawNode, ...], float]]:
+    ) -> Iterator[tuple[Substitution, tuple[ProofStep, ...], float]]:
         if not atoms:
             yield theta, (), running
             return
@@ -209,7 +204,7 @@ class _Search:
 
     def run(self, spec: GoalSpec) -> Optional[ProofResult]:
         self._reserved = {v.name for v in spec.goal_atom.variables()}
-        best: Optional[_Candidate] = None
+        best = None  # (ranking key, tree, θ); the smallest key wins, the first on a tie
         complete = 0
         truncated = False
         for theta, node, score in self.solve(spec.goal_atom, EMPTY_SUBSTITUTION, 1, 1.0):
@@ -217,47 +212,22 @@ class _Search:
             if complete > MAX_PROOFS_PER_GOAL:
                 truncated = True
                 break
-            candidate = _Candidate(
-                score=score,
-                steps=self._count(node),
-                rule_ids=tuple(sorted(self._collect_ids(node))),
-                node=node,
-                theta=theta,
-            )
-            if best is None or self._better(candidate, best):
-                best = candidate
+            steps = list(node.walk())
+            key = (-score, len(steps), tuple(sorted({step.rule_id for step in steps})))
+            if best is None or key < best[0]:
+                best = (key, node, theta)
         if best is None:
             return None
-        root = self._materialize(best.node, best.theta)
+        (neg_score, _, rule_ids), node, theta = best
         return ProofResult(
             violation=spec.violation,
-            proof=root,
-            proof_score=best.score,
-            used_rule_ids=frozenset(best.rule_ids),
+            proof=self._materialize(node, theta),
+            proof_score=-neg_score,
+            used_rule_ids=frozenset(rule_ids),
             budget_exceeded=truncated,
         )
 
-    @staticmethod
-    def _better(candidate: _Candidate, best: _Candidate) -> bool:
-        if candidate.score != best.score:
-            return candidate.score > best.score
-        if candidate.steps != best.steps:
-            return candidate.steps < best.steps
-        return candidate.rule_ids < best.rule_ids
-
-    @classmethod
-    def _count(cls, node: _RawNode) -> int:
-        return 1 + sum(cls._count(child) for child in node.children)
-
-    @classmethod
-    def _collect_ids(cls, node: _RawNode, into: Optional[set] = None) -> set:
-        into = set() if into is None else into
-        into.add(node.rule_id)
-        for child in node.children:
-            cls._collect_ids(child, into)
-        return into
-
-    def _materialize(self, node: _RawNode, theta: Substitution) -> ProofStep:
+    def _materialize(self, node: ProofStep, theta: Substitution) -> ProofStep:
         return ProofStep(
             goal_atom=apply_substitution(node.goal_atom, theta),
             rule_id=node.rule_id,

@@ -397,7 +397,7 @@ def refine_loop(
             for fid, _ in fresh:
                 formalized[fid] = [r for r in new_rules if r.origin.nl_fact_id == fid]
         rules = [rule for fid, _ in facts for rule in formalized[fid]]
-        if not rules:
+        if not rules and facts:  # no facts left: confirm on principles and frame facts
             empty = AutoformalizationEmpty("no formalized rules parsed from any fact", dropped)
             raise abort(empty) from empty
         kb = assemble_kb(principle_doc.rules, principle_doc.goal_decls, srl_rules, rules)

@@ -28,3 +28,32 @@ def test_every_traced_function_exists():
     assert targets
     missing = [f"{owner}.{attr}" for owner, attr, _ in targets if not callable(getattr(_owner(owner), attr, None))]
     assert missing == []
+
+
+def test_search_calls_the_traced_unify_layers(monkeypatch, demo_store, frog_case):
+    # The traced run counts unify attempts and similarity calls through these
+    # two module globals; a search that routes around them would read as 0.
+    from softprove import prover
+    from softprove.principles import load_principles
+    from softprove.srl import frame_to_facts
+    from softprove.verifier import assemble_kb, verify_case
+
+    calls = {"weak_unify_atoms": 0, "weak_unify_score": 0}
+
+    def counted(name):
+        original = getattr(prover, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(prover, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    case, rules = frog_case
+    doc = load_principles()
+    kb = assemble_kb(doc.rules, doc.goal_decls, frame_to_facts(case.frame), rules)
+    assert verify_case(case, kb, demo_store).kind.value == "valid_non_redundant"
+    assert calls["weak_unify_atoms"] > 0
+    assert calls["weak_unify_score"] > 0

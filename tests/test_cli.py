@@ -298,33 +298,6 @@ def test_embeddings_cache_command(tmp_path, capsys):
     assert out_path.exists()
 
 
-def test_config_file_and_env_precedence(tmp_path, capsys, monkeypatch):
-    config = tmp_path / "softprove.conf"
-    config.write_text("unify_threshold=0.95\n")
-    kb = tmp_path / "kb.pl"
-    kb.write_text(GOOD_KB)
-    # config file alone pushes the weak hop below threshold -> no proof
-    code, _, _ = _run(
-        capsys, "prove", str(kb), "--embeddings", data_path("demo_vectors.txt"), "--config", str(config)
-    )
-    assert code == 3
-    # environment overrides the file
-    monkeypatch.setenv("SOFTPROVE_UNIFY_THRESHOLD", "0.5")
-    code, _, _ = _run(
-        capsys, "prove", str(kb), "--embeddings", data_path("demo_vectors.txt"), "--config", str(config)
-    )
-    assert code == 0
-    # flags override the environment
-    code, _, _ = _run(
-        capsys,
-        "prove", str(kb),
-        "--embeddings", data_path("demo_vectors.txt"),
-        "--config", str(config),
-        "--unify-threshold", "0.95",
-    )
-    assert code == 3
-
-
 def test_missing_file_exit_1(capsys):
     code, _, err = _run(capsys, "parse", "/nonexistent/kb.pl")
     assert code == 1

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -182,6 +183,20 @@ def test_proof_exactly_at_threshold_is_accepted():
     assert exactly is not None and exactly.proof_score == 0.13  # 0.5 * 0.26, exact in binary
     above = prove_goal(kb, kb.goals[0], EMPTY_STORE, SolverConfig(proof_threshold=0.1300001))
     assert above is None
+
+
+def test_search_weak_match_exactly_at_unify_threshold(demo_store):
+    # The search's candidate filter and weak_unify_atoms share one rule:
+    # a predicate pair scoring exactly the threshold unifies, one ulp less does not.
+    from softprove.embeddings import weak_unify_score
+
+    kb = _kb("violate_care_physical(X,Y) :- physical_harm(X).", "pushing_force(action).")
+    score = weak_unify_score(demo_store, "physical_harm", "pushing_force")
+    assert 0.13 <= score < 1.0
+    at = prove_goal(kb, kb.goals[0], demo_store, SolverConfig(unify_threshold=score))
+    assert at is not None and at.proof_score == score
+    above = SolverConfig(unify_threshold=math.nextafter(score, 1.0))
+    assert prove_goal(kb, kb.goals[0], demo_store, above) is None
 
 
 def test_depth_limit_cuts_chains():
@@ -376,6 +391,17 @@ def test_render_root_line_has_five_decimals(demo_store, frog_case):
     score_text = first.split()[0]
     assert len(score_text.split(".")[1]) == 5
     assert render_proof(result) == render_proof(result)
+
+
+def test_render_is_stable_under_unrelated_rules():
+    # The proof leaves Z unbound; a same-arity rule whose head cannot unify
+    # with the goal is never renamed, so it does not shift fresh variable names.
+    kb = _kb("violate_care_physical(X,Y) :- q(X), r(Z).", "q(action).", "r(W).")
+    unrelated = Rule(atom("zzz", "X", "Y"), (atom("q", "X"),), 1.0, "unrelated")
+    widened = KnowledgeBase((unrelated,) + kb.rules, kb.goals)
+    plain = render_proof(prove_goal(kb, kb.goals[0], EMPTY_STORE, SolverConfig()))
+    assert "r(V2) <= r2" in plain
+    assert render_proof(prove_goal(widened, widened.goals[0], EMPTY_STORE, SolverConfig())) == plain
 
 
 def test_proof_to_dict_shape():

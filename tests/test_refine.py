@@ -270,6 +270,29 @@ def test_dropped_clauses_reach_the_trace(demo_store):
     assert [r.outcome.kind.value for r in trace.records] == ["invalid_no_proof"] * 3
 
 
+def test_proof_without_facts_confirms_on_principles_alone(demo_store, tmp_path):
+    # The one principle proves the goal from the frame fact crush(action), so
+    # the only fact is pruned and the confirmation pass has no rules to add.
+    principles = tmp_path / "principles.pl"
+    principles.write_text(
+        "violate_care_physical(X,Y) :- crush(X). = 1.0\n"
+        "goal <- violate_care_physical(action,patient).\n"
+    )
+    client = _mock(
+        [
+            ("semantic", "frog", "Premises:\n1. A frog is an animal.\nHypothesis: care"),
+            ("autoformalize", "frog is an animal", "animal(X) :- frog(X). = 1.0"),
+        ]
+    )
+    seed = CaseSeed(id="frog", statement="I crushed the frog", frame=FROG_FRAME)
+    config = RefineConfig(principles_path=str(principles))
+    _, trace = refine_loop(seed, config, client, demo_store)
+    assert [r.outcome.kind.value for r in trace.records] == ["valid_redundant", "valid_non_redundant"]
+    assert trace.valid is True and trace.non_redundant is True
+    assert trace.final_explanation == ()
+    assert len(client.requests) == 2
+
+
 def test_full_repair_is_non_redundant(demo_store):
     _, trace = refine_loop(_prison_seed(), RefineConfig(), _prison_client(), demo_store)
     assert trace.valid is True
