@@ -72,29 +72,24 @@ class Atom:
 
     predicate: str
     args: tuple[Term, ...]
+    arity: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not SYMBOL_NAME.match(self.predicate):
             raise LogicError(f"invalid predicate symbol: {self.predicate!r}")
         object.__setattr__(self, "args", tuple(self.args))
-        if len(self.args) < 1:
+        object.__setattr__(self, "arity", len(self.args))
+        if self.arity < 1:
             raise ArityError(f"atom {self.predicate!r} needs at least one argument")
-        if len(self.args) > MAX_ARITY:
+        if self.arity > MAX_ARITY:
             raise ArityError(
-                f"atom {self.predicate!r} has arity {len(self.args)}, cap is {MAX_ARITY}"
+                f"atom {self.predicate!r} has arity {self.arity}, cap is {MAX_ARITY}"
             )
-
-    @property
-    def arity(self) -> int:
-        return len(self.args)
 
     def variables(self) -> Iterator[Variable]:
         for term in self.args:
             if isinstance(term, Variable):
                 yield term
-
-    def is_ground(self) -> bool:
-        return all(isinstance(term, Constant) for term in self.args)
 
     def __str__(self) -> str:
         return f"{self.predicate}({','.join(str(t) for t in self.args)})"
@@ -216,22 +211,28 @@ class KnowledgeBase:
     rules: tuple[Rule, ...]
     goals: tuple[GoalSpec, ...] = ()
     _by_id: Mapping[str, Rule] = field(init=False, repr=False, compare=False)
+    _by_head: Mapping[int, Mapping[str, list[int]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", tuple(self.rules))
         object.__setattr__(self, "goals", tuple(self.goals))
         by_id: dict[str, Rule] = {}
-        for rule in self.rules:
+        by_head: dict[int, dict[str, list[int]]] = {}
+        for position, rule in enumerate(self.rules):
             if rule.id in by_id:
                 raise LogicError(f"duplicate rule id: {rule.id!r}")
             by_id[rule.id] = rule
+            head = rule.head
+            by_head.setdefault(head.arity, {}).setdefault(head.predicate, []).append(position)
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_by_head", by_head)
 
     def rule_by_id(self, rule_id: str) -> Rule:
         return self._by_id[rule_id]
 
-    def with_rules(self, extra: Sequence[Rule]) -> "KnowledgeBase":
-        return KnowledgeBase(self.rules + tuple(extra), self.goals)
+    def head_groups(self, arity: int) -> Mapping[str, Sequence[int]]:
+        """Positions in ``rules`` of the heads of this arity, grouped by predicate."""
+        return self._by_head.get(arity, {})
 
 
 class Substitution:

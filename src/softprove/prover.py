@@ -7,10 +7,12 @@ the proof threshold, so every complete proof it yields clears the threshold.
 Predicates unify by embedding similarity; constants name SRL role slots
 (``action``, ``patient``, ``agent``) and match by equality only.
 
-The enumeration is exhaustive up to ``max_depth`` and fully deterministic:
-rules are tried in knowledge-base order, and only a rule whose head can unify
-with the goal (same arity, predicate at or above the unify threshold) is
-renamed apart and tried.  The best proof has the smallest key
+The enumeration is exhaustive up to ``max_depth`` and fully deterministic.
+A ``CandidateIndex`` maps each goal ``(predicate, arity)`` to the rules whose
+head can unify with it (same arity, predicate at or above the unify
+threshold), in knowledge-base order; it scores each head predicate once per
+goal key, not each rule once per subgoal.  Only those candidates are renamed
+apart and tried, in that order.  The best proof has the smallest key
 ``(-score, steps, sorted rule ids)``: the highest score, then fewer steps,
 then the lexicographically smallest sorted rule-id set; the first found wins
 an exact tie.
@@ -114,15 +116,19 @@ def weak_unify_atoms(
     theta: Substitution,
     store: EmbeddingStore,
     config: SolverConfig,
+    score: Optional[float] = None,
 ) -> Optional[tuple[Substitution, float]]:
     """Unify goal atom ``a`` with rule head ``b`` under ``theta``.
 
-    Heads pass by ``_head_score``.  Arguments match structurally, and
-    constants by equality only, so the returned score is the predicate score.
+    Heads pass by ``_head_score``; a caller that has already passed them
+    there gives its ``score`` and they are not scored again.  Arguments match
+    structurally, and constants by equality only, so the returned score is
+    the predicate score.
     """
-    score = _head_score(a, b, store, config)
     if score is None:
-        return None
+        score = _head_score(a, b, store, config)
+        if score is None:
+            return None
     for raw_left, raw_right in zip(a.args, b.args):
         left = apply_term(theta, raw_left)
         right = apply_term(theta, raw_right)
@@ -141,11 +147,43 @@ def weak_unify_atoms(
     return theta, score
 
 
-class _Search:
+class CandidateIndex:
+    """Rules whose head can unify with a goal, per goal ``(predicate, arity)``.
+
+    Built for one knowledge base, store and configuration.  The first lookup
+    of a goal key calls ``_head_score`` once per head predicate of that arity
+    (``KnowledgeBase.head_groups``) and keeps the rules of the groups that
+    pass, each with its predicate score, in knowledge-base order; later
+    lookups of the key return the same tuple.
+    """
+
     def __init__(self, kb: KnowledgeBase, store: EmbeddingStore, config: SolverConfig) -> None:
         self.kb = kb
         self.store = store
         self.config = config
+        self._memo: dict[tuple[str, int], tuple[tuple[Rule, float], ...]] = {}
+
+    def candidates(self, goal: Atom) -> tuple[tuple[Rule, float], ...]:
+        key = (goal.predicate, goal.arity)
+        found = self._memo.get(key)
+        if found is None:
+            rules = self.kb.rules
+            scored: list[tuple[int, float]] = []
+            for positions in self.kb.head_groups(goal.arity).values():
+                score = _head_score(goal, rules[positions[0]].head, self.store, self.config)
+                if score is not None:
+                    scored.extend((position, score) for position in positions)
+            scored.sort()  # positions are distinct: back into knowledge-base order
+            found = tuple((rules[position], score) for position, score in scored)
+            self._memo[key] = found
+        return found
+
+
+class _Search:
+    def __init__(self, index: CandidateIndex) -> None:
+        self.index = index
+        self.store = index.store
+        self.config = index.config
         self._fresh = 0
         self._reserved = set()
 
@@ -176,11 +214,9 @@ class _Search:
         """Yield (θ, proof tree, running score); tree goals are not yet under θ."""
         if depth > self.config.max_depth:
             return
-        for rule in self.kb.rules:
-            if _head_score(goal_atom, rule.head, self.store, self.config) is None:
-                continue
+        for rule, score in self.index.candidates(goal_atom):
             head, body = self._rename(rule)
-            unified = weak_unify_atoms(goal_atom, head, theta, self.store, self.config)
+            unified = weak_unify_atoms(goal_atom, head, theta, self.store, self.config, score=score)
             if unified is None:
                 continue
             theta1, unify = unified
@@ -241,9 +277,19 @@ def prove_goal(
     goal: GoalSpec,
     store: EmbeddingStore,
     config: SolverConfig = SolverConfig(),
+    index: Optional[CandidateIndex] = None,
 ) -> Optional[ProofResult]:
-    """Best-scoring complete proof of one goal, or None if nothing clears the bar."""
-    return _Search(kb, store, config).run(goal)
+    """Best-scoring complete proof of one goal, or None if nothing clears the bar.
+
+    ``index`` lets several goals share candidate lookups; it must have been
+    built for this ``kb``, ``store`` and ``config``.  Without it the search
+    builds its own.
+    """
+    if index is None:
+        index = CandidateIndex(kb, store, config)
+    elif index.kb is not kb or index.store is not store or index.config != config:
+        raise ConfigError("candidate index was built for another knowledge base, store or config")
+    return _Search(index).run(goal)
 
 
 def prove_all_goals(
@@ -254,16 +300,20 @@ def prove_all_goals(
 ) -> Optional[tuple[MoralViolation, ProofResult]]:
     """Try each goal in order; the globally best proof names the hypothesis.
 
-    Ties across goals go to the earlier goal in ``goals``.  If any per-goal
-    search hit the proof budget, the winning result is flagged as possibly
-    non-optimal.
+    The goals share one ``CandidateIndex``, since their searches meet the
+    same subgoals: each head predicate is scored at most once per goal key
+    over all of them, and candidates still come in knowledge-base order, so
+    the proofs are those each goal's search finds on its own.  Ties across
+    goals go to the earlier goal in ``goals``.  If any per-goal search hit
+    the proof budget, the winning result is flagged as possibly non-optimal.
     """
     if not goals:
         raise ConfigError("prove_all_goals needs at least one goal")
+    index = CandidateIndex(kb, store, config)
     best: Optional[tuple[MoralViolation, ProofResult]] = None
     any_truncated = False
     for spec in goals:
-        result = prove_goal(kb, spec, store, config)
+        result = prove_goal(kb, spec, store, config, index)
         if result is None:
             continue
         any_truncated = any_truncated or result.budget_exceeded

@@ -98,28 +98,6 @@ def load_frame(document: str) -> SemanticFrame:
     return frame_from_dict(doc)
 
 
-def load_frames(document: str) -> list[SemanticFrame]:
-    """Parse a batch file: a JSON array of frame objects."""
-    try:
-        docs = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise SchemaError([f"invalid JSON: {exc}"]) from exc
-    if not isinstance(docs, list):
-        raise SchemaError(["batch document must be a JSON array of frames"])
-    return [frame_from_dict(d) for d in docs]
-
-
-def frame_to_dict(frame: SemanticFrame) -> dict:
-    doc: dict = {"statement": frame.statement, "action": frame.action_lemma}
-    if frame.agent is not None:
-        doc["agent"] = frame.agent
-    if frame.patient is not None:
-        doc["patient"] = frame.patient
-    if frame.extra_roles:
-        doc["roles"] = dict(frame.extra_roles)
-    return doc
-
-
 def _phrase_facts(
     phrase: str, role_constant: str, rule_id_base: str, keep_head_noun: bool = False
 ) -> list[Rule]:

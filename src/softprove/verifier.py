@@ -2,9 +2,7 @@
 
 An explanation is valid when the solver entails the same violation the
 language model hypothesised; a valid explanation is non-redundant when every
-generated fact appears in the winning proof tree.  Invalid explanations split
-further only by manual annotation, which is imported and exported but never
-computed here.
+generated fact appears in the winning proof tree.
 """
 
 from __future__ import annotations
@@ -23,14 +21,7 @@ from .logic import (
 )
 from .prover import ConfigError, ProofResult, SolverConfig, facts_in_proof, prove_all_goals
 from .ruleparse import parse_rule
-from .srl import SemanticFrame, frame_from_dict, frame_to_dict
-
-
-class InvalidClass(Enum):
-    """Manual annotation for invalid explanations; never computed."""
-
-    MISSING_PLAUSIBLE_PREMISE = "missing_plausible_premise"
-    NO_DISCERNIBLE_ARGUMENT = "no_discernible_argument"
+from .srl import SemanticFrame, frame_from_dict
 
 
 @dataclass(frozen=True)
@@ -43,7 +34,6 @@ class EthicalCase:
     nl_facts: tuple[tuple[str, str], ...]
     hypothesis: MoralViolation
     gold_violation: Optional[MoralViolation] = None
-    manual_invalid_class: Optional[InvalidClass] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nl_facts", tuple(tuple(f) for f in self.nl_facts))
@@ -265,9 +255,6 @@ def case_from_dict(doc: dict) -> tuple[EthicalCase, tuple[Rule, ...]]:
         nl_facts=nl_facts,
         hypothesis=MoralViolation(doc["hypothesis"]),
         gold_violation=MoralViolation(doc["gold_violation"]) if doc.get("gold_violation") else None,
-        manual_invalid_class=(
-            InvalidClass(doc["manual_invalid_class"]) if doc.get("manual_invalid_class") else None
-        ),
     )
     rules: list[Rule] = []
     counters: dict[str, int] = {}
@@ -282,19 +269,3 @@ def case_from_dict(doc: dict) -> tuple[EthicalCase, tuple[Rule, ...]]:
             parse_rule(entry["clause"], rule_id=f"g_{fact_id}_{index}", origin=generated_fact(fact_id))
         )
     return case, tuple(rules)
-
-
-def case_to_dict(case: EthicalCase) -> dict:
-    doc: dict = {
-        "id": case.id,
-        "statement": case.statement,
-        "frame": frame_to_dict(case.frame),
-        "nl_facts": [{"id": fact_id, "text": text} for fact_id, text in case.nl_facts],
-        "hypothesis": case.hypothesis.value,
-    }
-    if case.gold_violation is not None:
-        doc["gold_violation"] = case.gold_violation.value
-    if case.manual_invalid_class is not None:
-        doc["manual_invalid_class"] = case.manual_invalid_class.value
-    return doc
-

@@ -57,3 +57,26 @@ def test_search_calls_the_traced_unify_layers(monkeypatch, demo_store, frog_case
     assert verify_case(case, kb, demo_store).kind.value == "valid_non_redundant"
     assert calls["weak_unify_atoms"] > 0
     assert calls["weak_unify_score"] > 0
+
+
+def test_prove_all_goals_calls_the_traced_prove_goal_once_per_goal(monkeypatch, demo_store, frog_case):
+    # The traced run times each goal's search through this module global; a
+    # search core reached around it would read prover.prove_goal_ms as 0.
+    from softprove import prover
+    from softprove.principles import load_principles
+    from softprove.srl import frame_to_facts
+    from softprove.verifier import assemble_kb
+
+    original = prover.prove_goal
+    goals = []
+
+    def counted(kb, goal, *args, **kwargs):
+        goals.append(goal)
+        return original(kb, goal, *args, **kwargs)
+
+    monkeypatch.setattr(prover, "prove_goal", counted)
+    case, rules = frog_case
+    doc = load_principles()
+    kb = assemble_kb(doc.rules, doc.goal_decls, frame_to_facts(case.frame), rules)
+    assert prover.prove_all_goals(kb, kb.goals, demo_store) is not None
+    assert goals == list(kb.goals)

@@ -28,8 +28,10 @@ from softprove.logic import (
 )
 from softprove.ruleparse import parse_rule
 from softprove.prover import (
+    CandidateIndex,
     ConfigError,
     SolverConfig,
+    _head_score,
     facts_in_proof,
     prove_all_goals,
     prove_goal,
@@ -322,6 +324,102 @@ def test_prove_all_goals_requires_goals():
         prove_all_goals(kb, kb.goals, EMPTY_STORE, SolverConfig())
 
 
+# -- candidate index ------------------------------------------------------------------
+
+
+def _frog_kb(frog_case) -> KnowledgeBase:
+    from softprove.principles import load_principles
+    from softprove.srl import frame_to_facts
+    from softprove.verifier import assemble_kb
+
+    case, rules = frog_case
+    doc = load_principles()
+    return assemble_kb(doc.rules, doc.goal_decls, frame_to_facts(case.frame), rules)
+
+
+def _assert_index_is_full_scan(kb: KnowledgeBase, store: EmbeddingStore, config: SolverConfig) -> None:
+    """Every goal key of the KB, and keys that match nothing, give exactly the
+    rules a scan of the whole KB passes, in KB order, with their scores."""
+    keys = {(a.predicate, a.arity) for r in kb.rules for a in (r.head,) + r.body}
+    keys |= {(g.goal_atom.predicate, g.goal_atom.arity) for g in kb.goals}
+    keys |= {(predicate, 3) for predicate, _ in keys} | {("nomatch", 1), ("nomatch", 2)}
+    index = CandidateIndex(kb, store, config)
+    for predicate, arity in sorted(keys):
+        goal = Atom(predicate, tuple(Variable(f"A{i}") for i in range(arity)))
+        scan = tuple(
+            (r, score) for r in kb.rules if (score := _head_score(goal, r.head, store, config)) is not None
+        )
+        assert index.candidates(goal) == scan
+        assert index.candidates(goal) is index.candidates(goal)
+
+
+def test_candidate_index_equals_full_scan_on_random_suites():
+    # The suites list each head predicate's rules together; a shuffled copy
+    # interleaves them, so the candidates of several groups must be merged.
+    shuffler = random.Random(7)
+    for seed in (1001, 2002, 3003):
+        rng = random.Random(seed)
+        for _ in range(100):
+            kb, _, vectors = random_layered_kb(rng)
+            shuffled = KnowledgeBase(tuple(shuffler.sample(kb.rules, len(kb.rules))), kb.goals)
+            for store in (_store_from_vectors(vectors), EMPTY_STORE):
+                _assert_index_is_full_scan(kb, store, SolverConfig())
+                _assert_index_is_full_scan(shuffled, store, SolverConfig())
+
+
+def test_candidate_index_equals_full_scan_on_frog_kb_at_the_unify_threshold(demo_store, frog_case):
+    from softprove.embeddings import weak_unify_score
+
+    kb = _frog_kb(frog_case)
+    score = weak_unify_score(demo_store, "crush", "compression")
+    assert 0.5 <= score < 1.0
+    goal = atom("crush", "X")
+    compression = {r.id for r in kb.rules if r.head.predicate == "compression"}
+    assert compression
+    reversed_kb = KnowledgeBase(kb.rules[::-1], kb.goals)
+    for config, included in (
+        (SolverConfig(), True),
+        (SolverConfig(unify_threshold=score), True),  # exactly at the threshold
+        (SolverConfig(unify_threshold=math.nextafter(score, 1.0)), False),  # one ulp below it
+    ):
+        _assert_index_is_full_scan(kb, demo_store, config)
+        _assert_index_is_full_scan(reversed_kb, demo_store, config)
+        ids = {r.id for r, _ in CandidateIndex(kb, demo_store, config).candidates(goal)}
+        assert compression & ids == (compression if included else set())
+
+
+def test_prove_all_goals_scores_each_predicate_pair_at_most_once(monkeypatch, demo_store, frog_case):
+    from softprove import prover
+
+    kb = _frog_kb(frog_case)
+    expected = prove_all_goals(kb, kb.goals, demo_store, SolverConfig())
+    original = prover.weak_unify_score
+    pairs: list[tuple[str, str]] = []
+
+    def counted(store, a, b):
+        pairs.append((a, b))
+        return original(store, a, b)
+
+    monkeypatch.setattr(prover, "weak_unify_score", counted)
+    assert prove_all_goals(kb, kb.goals, demo_store, SolverConfig()) == expected
+    assert pairs
+    assert [pair for pair in set(pairs) if pairs.count(pair) > 1] == []
+
+
+def test_prove_goal_rejects_an_index_built_for_another_search(demo_store):
+    kb = _kb("violate_care_physical(X,Y) :- h(X).", "h(action).")
+    other = _kb("violate_care_physical(X,Y) :- h(X).", "h(action).")
+    index = CandidateIndex(kb, EMPTY_STORE, SolverConfig())
+    assert prove_goal(kb, kb.goals[0], EMPTY_STORE, SolverConfig(), index) is not None
+    for args in (
+        (other, EMPTY_STORE, SolverConfig()),
+        (kb, demo_store, SolverConfig()),
+        (kb, EMPTY_STORE, SolverConfig(max_depth=3)),
+    ):
+        with pytest.raises(ConfigError):
+            prove_goal(args[0], kb.goals[0], args[1], args[2], index)
+
+
 # -- facts_in_proof -----------------------------------------------------------------
 
 
@@ -507,7 +605,7 @@ def test_monotonicity_under_rule_addition_100_instances():
             id="extra",
             origin=PRINCIPLE,
         )
-        after = prove_goal(kb.with_rules([extra]), goal, store, SolverConfig())
+        after = prove_goal(KnowledgeBase(kb.rules + (extra,), kb.goals), goal, store, SolverConfig())
         if before is not None:
             assert after is not None
             assert after.proof_score >= before.proof_score

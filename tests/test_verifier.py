@@ -1,5 +1,6 @@
 import json
 import random
+from importlib import resources
 
 import pytest
 
@@ -11,14 +12,12 @@ from softprove.ruleparse import parse_rule
 from softprove.srl import frame_to_facts
 from softprove.verifier import (
     EthicalCase,
-    InvalidClass,
     MetricsReport,
     OutcomeKind,
     VerificationOutcome,
     aggregate_metrics,
     assemble_kb,
     case_from_dict,
-    case_to_dict,
     metrics_to_dict,
     render_metrics,
     verify_case,
@@ -224,9 +223,13 @@ def test_metrics_json_shape():
 # -- case files ----------------------------------------------------------------------
 
 
+def _frog_doc() -> dict:
+    return json.loads(resources.files("softprove").joinpath("data/cases/frog.json").read_text("utf-8"))
+
+
 def test_case_round_trip(frog_case):
     case, rules = frog_case
-    doc = case_to_dict(case)
+    doc = _frog_doc()
     doc["rules"] = [
         {"fact_id": r.origin.nl_fact_id, "clause": "compression(X) :- crush(X). = 1.0"}
         for r in rules[:1]
@@ -237,26 +240,21 @@ def test_case_round_trip(frog_case):
     assert len(again_rules) == 1
 
 
-def test_case_rejects_unknown_fact_id(frog_case):
-    case, _ = frog_case
-    doc = case_to_dict(case)
+def test_case_rejects_unknown_fact_id():
+    doc = _frog_doc()
     doc["rules"] = [{"fact_id": "zzz", "clause": "a(x)."}]
     with pytest.raises(ValueError):
         case_from_dict(doc)
 
 
-def test_case_duplicate_fact_ids_rejected(frog_case):
-    case, _ = frog_case
-    doc = case_to_dict(case)
+def test_case_duplicate_fact_ids_rejected():
+    doc = _frog_doc()
     doc["nl_facts"] = [{"id": "f1", "text": "a"}, {"id": "f1", "text": "b"}]
     with pytest.raises(ValueError):
         case_from_dict(doc)
 
 
-def test_manual_invalid_class_round_trips(frog_case):
-    case, _ = frog_case
-    doc = case_to_dict(case)
+def test_case_ignores_manual_invalid_class(frog_case):
+    doc = _frog_doc()
     doc["manual_invalid_class"] = "missing_plausible_premise"
-    loaded, _ = case_from_dict(doc)
-    assert loaded.manual_invalid_class is InvalidClass.MISSING_PLAUSIBLE_PREMISE
-    assert case_to_dict(loaded)["manual_invalid_class"] == "missing_plausible_premise"
+    assert case_from_dict(doc) == frog_case
