@@ -197,7 +197,7 @@ def cmd_corpus_verify(args: argparse.Namespace) -> int:
             outcomes.append((int(doc.get("iteration", 0)), verify_case(case, kb, store, config)))
         except Exception as exc:  # per-case failures never abort the corpus run
             failures.append(str(path_text))
-            print(f"case failed: {path_text}: {exc}", file=sys.stderr)
+            print(f"case failed: {path_text}: {type(exc).__name__}: {exc}", file=sys.stderr)
     report = aggregate_metrics(outcomes)
     payload = metrics_to_dict(report)
     payload["split"] = manifest.get("split")

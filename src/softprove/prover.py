@@ -1,21 +1,41 @@
 """Depth-limited backward chaining with weak unification and product scoring.
 
 A proof scores the running product, in depth-first pre-order, of
-``unification_score * rule_score`` over its steps.  Because every factor is
-at most 1.0, the search cuts every branch whose running product falls below
-the proof threshold, so every complete proof it yields clears the threshold.
-Predicates unify by embedding similarity; constants name SRL role slots
-(``action``, ``patient``, ``agent``) and match by equality only.
-
-The enumeration is exhaustive up to ``max_depth`` and fully deterministic.
-A ``CandidateIndex`` maps each goal ``(predicate, arity)`` to the rules whose
-head can unify with it (same arity, predicate at or above the unify
-threshold), in knowledge-base order; it scores each head predicate once per
-goal key, not each rule once per subgoal.  Only those candidates are renamed
-apart and tried, in that order.  The best proof has the smallest key
+``unification_score * rule_score`` over its steps.  Predicates unify by
+embedding similarity; constants name SRL role slots (``action``, ``patient``,
+``agent``) and match by equality only.  The best proof has the smallest key
 ``(-score, steps, sorted rule ids)``: the highest score, then fewer steps,
 then the lexicographically smallest sorted rule-id set; the first found wins
 an exact tie.
+
+The search is depth-first and fully deterministic.  It returns the best
+proof among all proofs up to ``max_depth``, but does not enumerate them all:
+two cuts drop only proofs whose key is strictly worse than that of a proof
+the search still reaches, so neither can change the best proof.
+
+- *Bound.*  Every factor is at most 1.0, so a running product never rises.
+  A candidate rule is skipped when the running product through it falls
+  below the proof threshold, or below the best score found so far for the
+  goal.  Every proof yielded therefore clears the threshold.  The
+  comparison is strict, so a proof that ties the best score still reaches
+  the step and rule-id tie-break.
+- *Ancestor.*  A subgoal whose atom under the current θ is identical to that
+  of one of its ancestors on the path is cut.  A proof through it holds a
+  proof of the ancestor's atom inside a proof of the same atom; putting the
+  inner proof in place of the outer one drops steps whose factors are at
+  most 1.0, so the shortcut scores at least as high with fewer steps.  The
+  best proof therefore never repeats an ancestor, and no proof with its key
+  does either.  The check is identity, not identity up to renaming: a
+  subgoal that is only a variant of its ancestor may be proved with
+  bindings the ancestor cannot take, so its proof may be the only one.  This
+  cut stops definitional cycles (``p :- q`` beside ``q :- p``) from being
+  unrolled down to ``max_depth``.
+
+A ``CandidateIndex`` maps each goal ``(predicate, arity)`` to the rules whose
+head can unify with it (same arity, predicate at or above the unify
+threshold), in knowledge-base order; it scores each head predicate once per
+goal key, not each rule once per subgoal.  Only those candidates are tried,
+in that order, and only those that pass the bound are renamed apart.
 """
 
 from __future__ import annotations
@@ -38,7 +58,6 @@ from .logic import (
     Variable,
     apply_substitution,
     apply_term,
-    compose,
 )
 
 
@@ -124,27 +143,48 @@ def weak_unify_atoms(
     there gives its ``score`` and they are not scored again.  Arguments match
     structurally, and constants by equality only, so the returned score is
     the predicate score.
+
+    The new bindings are collected apart and merged into one new
+    substitution at the end; it equals composing ``theta`` with each binding
+    in turn.
     """
     if score is None:
         score = _head_score(a, b, store, config)
         if score is None:
             return None
+    new: dict[str, Term] = {}  # this unification's bindings, each kept fully applied
     for raw_left, raw_right in zip(a.args, b.args):
         left = apply_term(theta, raw_left)
         right = apply_term(theta, raw_right)
+        if new:
+            if isinstance(left, Variable):
+                left = new.get(left.name, left)
+            if isinstance(right, Variable):
+                right = new.get(right.name, right)
         if isinstance(left, Constant) and isinstance(right, Constant):
             if left.symbol != right.symbol:
                 return None
-        elif isinstance(left, Variable) and isinstance(right, Variable):
+            continue
+        if isinstance(left, Variable) and isinstance(right, Variable):
             if left.name == right.name:
                 continue
             # Bind the rule-side variable so goal naming survives in output.
-            theta = compose(theta, Substitution({right.name: left}))
+            name, term = right.name, left
         elif isinstance(left, Variable):
-            theta = compose(theta, Substitution({left.name: right}))
+            name, term = left.name, right
         else:
-            theta = compose(theta, Substitution({right.name: left}))
-    return theta, score
+            name, term = right.name, left
+        for bound, value in new.items():
+            if isinstance(value, Variable) and value.name == name:
+                new[bound] = term
+        new[name] = term
+    if not new:
+        return theta, score
+    merged = {
+        name: new.get(term.name, term) if isinstance(term, Variable) else term for name, term in theta.items()
+    }
+    merged.update(new)
+    return Substitution(merged), score
 
 
 class CandidateIndex:
@@ -179,6 +219,24 @@ class CandidateIndex:
         return found
 
 
+# The goals above a subgoal on the current path, nearest first, as linked
+# ``(atom, rest)`` pairs ending in None; the atoms are not yet under θ.
+_Ancestors = Optional[tuple[Atom, "_Ancestors"]]
+
+
+def _repeats_ancestor(goal: Atom, theta: Substitution, ancestors: _Ancestors) -> bool:
+    """Whether ``goal`` under ``theta`` is identical to an ancestor under ``theta``.
+
+    Only ancestors with the goal's predicate and arity have θ applied.
+    """
+    while ancestors is not None:
+        above, ancestors = ancestors
+        if above.predicate == goal.predicate and above.arity == goal.arity:
+            if all(apply_term(theta, a) == apply_term(theta, b) for a, b in zip(above.args, goal.args)):
+                return True
+    return False
+
+
 class _Search:
     def __init__(self, index: CandidateIndex) -> None:
         self.index = index
@@ -186,6 +244,9 @@ class _Search:
         self.config = index.config
         self._fresh = 0
         self._reserved = set()
+        # A candidate whose running product falls below this is skipped: the
+        # proof threshold, raised by ``run`` to the best score found so far.
+        self._bound = self.config.proof_threshold
 
     def _fresh_variable(self) -> Variable:
         while True:
@@ -209,33 +270,33 @@ class _Search:
         return head, body
 
     def solve(
-        self, goal_atom: Atom, theta: Substitution, depth: int, running: float
+        self, goal_atom: Atom, theta: Substitution, depth: int, running: float, ancestors: _Ancestors
     ) -> Iterator[tuple[Substitution, ProofStep, float]]:
         """Yield (θ, proof tree, running score); tree goals are not yet under θ."""
-        if depth > self.config.max_depth:
+        if depth > self.config.max_depth or _repeats_ancestor(goal_atom, theta, ancestors):
             return
+        lineage = (goal_atom, ancestors)
         for rule, score in self.index.candidates(goal_atom):
+            running1 = running * (score * rule.score)
+            if running1 < self._bound:
+                continue
             head, body = self._rename(rule)
             unified = weak_unify_atoms(goal_atom, head, theta, self.store, self.config, score=score)
             if unified is None:
                 continue
             theta1, unify = unified
-            factor = unify * rule.score
-            running1 = running * factor
-            if running1 < self.config.proof_threshold:
-                continue
-            for theta2, children, running2 in self._solve_body(body, theta1, depth, running1):
+            for theta2, children, running2 in self._solve_body(body, theta1, depth, running1, lineage):
                 yield theta2, ProofStep(goal_atom, rule.id, unify, children), running2
 
     def _solve_body(
-        self, atoms: tuple[Atom, ...], theta: Substitution, depth: int, running: float
+        self, atoms: tuple[Atom, ...], theta: Substitution, depth: int, running: float, ancestors: _Ancestors
     ) -> Iterator[tuple[Substitution, tuple[ProofStep, ...], float]]:
         if not atoms:
             yield theta, (), running
             return
         first, rest = atoms[0], atoms[1:]
-        for theta1, node, running1 in self.solve(first, theta, depth + 1, running):
-            for theta2, tail, running2 in self._solve_body(rest, theta1, depth, running1):
+        for theta1, node, running1 in self.solve(first, theta, depth + 1, running, ancestors):
+            for theta2, tail, running2 in self._solve_body(rest, theta1, depth, running1, ancestors):
                 yield theta2, (node,) + tail, running2
 
     def run(self, spec: GoalSpec) -> Optional[ProofResult]:
@@ -243,7 +304,7 @@ class _Search:
         best = None  # (ranking key, tree, θ); the smallest key wins, the first on a tie
         complete = 0
         truncated = False
-        for theta, node, score in self.solve(spec.goal_atom, EMPTY_SUBSTITUTION, 1, 1.0):
+        for theta, node, score in self.solve(spec.goal_atom, EMPTY_SUBSTITUTION, 1, 1.0, None):
             complete += 1
             if complete > MAX_PROOFS_PER_GOAL:
                 truncated = True
@@ -252,6 +313,7 @@ class _Search:
             key = (-score, len(steps), tuple(sorted({step.rule_id for step in steps})))
             if best is None or key < best[0]:
                 best = (key, node, theta)
+                self._bound = score  # a branch below the best score can only end in a worse key
         if best is None:
             return None
         (neg_score, _, rule_ids), node, theta = best

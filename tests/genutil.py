@@ -259,6 +259,32 @@ def random_layered_kb(
     return KnowledgeBase(tuple(rules), (goal,)), goal, vectors
 
 
+def with_definitional_cycles(
+    rng: random.Random, kb: KnowledgeBase, cycle_score: Optional[float] = None, cycles: int = 2
+) -> KnowledgeBase:
+    """``kb`` plus ``cycles`` definitional 2-cycles ``p :- q`` and ``q :- p``,
+    each between two of its predicates of one arity (the same predicate twice
+    gives a self-loop), as paraphrased explanations produce them.
+
+    The arguments are the same variables on both sides, so the goal two steps
+    down is identical to the one above it.  Each rule scores ``cycle_score``,
+    or a random score in [0.5, 1.0) if it is None; the pairs go in at random
+    positions, with ids ``c0``, ``c1``, ...
+    """
+    predicates = sorted({(a.predicate, a.arity) for r in kb.rules for a in (r.head,) + r.body})
+    rules = list(kb.rules)
+    variables = (Variable("X"), Variable("Z"))
+    for n in range(cycles):
+        p, arity = rng.choice(predicates)
+        q = rng.choice([name for name, other in predicates if other == arity])
+        args = variables[:arity]
+        for i, (head, body) in enumerate(((p, q), (q, p))):
+            score = cycle_score if cycle_score is not None else round(rng.uniform(0.5, 0.999999), 6)
+            rule = Rule(Atom(head, args), (Atom(body, args),), score, f"c{2 * n + i}", PRINCIPLE)
+            rules.insert(rng.randint(0, len(rules)), rule)
+    return KnowledgeBase(tuple(rules), kb.goals)
+
+
 # -- random rule documents ------------------------------------------------------
 
 _GOAL_PREDICATES = sorted(_FOUNDATION_GOALS)

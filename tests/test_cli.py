@@ -269,6 +269,7 @@ def test_corpus_verify_continues_past_case_failures(tmp_path, capsys):
     )
     assert code == 0
     assert "broken.json" in err
+    assert "JSONDecodeError" in err
     payload = json.loads(out)
     assert payload["overall"]["total"] == 4
     assert payload["failures"] == ["broken.json"]

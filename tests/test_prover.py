@@ -23,7 +23,9 @@ from softprove.logic import (
     Substitution,
     Variable,
     apply_substitution,
+    apply_term,
     atom,
+    compose,
     generated_fact,
 )
 from softprove.ruleparse import parse_rule
@@ -46,6 +48,7 @@ from genutil import (
     oracle_proof_scores,
     oracle_proofs,
     random_layered_kb,
+    with_definitional_cycles,
 )
 
 X, Y = Variable("X"), Variable("Y")
@@ -137,6 +140,45 @@ def test_unify_respects_existing_bindings():
     )
     ok = weak_unify_atoms(atom("p", "X"), atom("p", "a"), theta, EMPTY_STORE, SolverConfig())
     assert ok is not None and ok[0] == theta
+
+
+def _unify_by_composing(a: Atom, b: Atom, theta: Substitution):
+    """Reference unifier: composes ``theta`` with each binding as it is made."""
+    for raw_left, raw_right in zip(a.args, b.args):
+        left, right = apply_term(theta, raw_left), apply_term(theta, raw_right)
+        if isinstance(left, Constant) and isinstance(right, Constant):
+            if left.symbol != right.symbol:
+                return None
+        elif isinstance(left, Variable) and isinstance(right, Variable):
+            if left.name != right.name:
+                theta = compose(theta, Substitution({right.name: left}))
+        elif isinstance(left, Variable):
+            theta = compose(theta, Substitution({left.name: right}))
+        else:
+            theta = compose(theta, Substitution({right.name: left}))
+    return theta
+
+
+def test_unify_equals_composing_each_binding():
+    # Goal and head share variables, and θ already binds some of them, so
+    # later arguments meet bindings made by earlier ones.
+    rng = random.Random(11)
+    terms = [Variable(name) for name in "XYZAB"] + [Constant("a"), Constant("b")]
+    for _ in range(2000):
+        theta = EMPTY_SUBSTITUTION
+        for _ in range(rng.randint(0, 3)):
+            name = rng.choice("XYZAB")
+            term = apply_term(theta, rng.choice(terms))
+            if name not in theta and term != Variable(name):
+                theta = compose(theta, Substitution({name: term}))
+        arity = rng.randint(1, 3)
+        goal = Atom("p", tuple(rng.choice(terms) for _ in range(arity)))
+        head = Atom("p", tuple(rng.choice(terms) for _ in range(arity)))
+        expected = _unify_by_composing(goal, head, theta)
+        got = weak_unify_atoms(goal, head, theta, EMPTY_STORE, SolverConfig())
+        assert (got and got[0]) == expected
+        if expected is not None:
+            assert got[1] == 1.0
 
 
 # -- prove_goal --------------------------------------------------------------------
@@ -246,7 +288,8 @@ def test_tie_break_prefers_smaller_rule_ids():
 
 def test_budget_flag_on_truncation():
     # n copies of p(action) give n * n proofs of score 1.0; the budget is
-    # MAX_PROOFS_PER_GOAL = 10,000 complete proofs.
+    # MAX_PROOFS_PER_GOAL = 10,000 complete proofs.  They all tie on score,
+    # so the bound, which is strict, cuts none of them.
     def search(copies: int):
         kb = _kb("violate_care_physical(X,Y) :- p(X), p(X).", *["p(action)."] * copies)
         return prove_goal(kb, kb.goals[0], EMPTY_STORE, SolverConfig())
@@ -570,6 +613,115 @@ def test_oracle_equivalence_weak_matching_suite():
 
 def test_oracle_equivalence_weak_matching_suite_3003():
     _assert_weak_suite_matches_oracle(3003)
+
+
+def _assert_cyclic_suite_matches_oracle(
+    seed: int, cycle_score, weak: bool = False, tie: bool = False, cycles: int = 2, max_depth: int = 4
+) -> None:
+    # The oracle unrolls every cycle down to max_depth without a cut, and a
+    # two-atom body squares the proof count per level, so the depth is small.
+    rng = random.Random(seed)
+    config = SolverConfig(max_depth=max_depth)
+    for _ in range(100):
+        kb, goal, vectors = random_layered_kb(rng)
+        kb = with_definitional_cycles(rng, kb, cycle_score, cycles)
+        if tie:
+            kb = KnowledgeBase(tuple(replace(r, score=1.0) for r in kb.rules), kb.goals)
+        if weak:
+            store = _store_from_vectors(vectors)
+            table = cosine_pair_table({t: np.asarray(v, dtype=np.float32).astype(np.float64) for t, v in vectors.items()})
+        else:
+            store, table = EMPTY_STORE, exact_pair_score
+        result = prove_goal(kb, goal, store, config)
+        _assert_oracle_best(result, oracle_best(kb, goal.goal_atom, table, max_depth=max_depth))
+
+
+def test_oracle_equivalence_with_definitional_cycles_at_one():
+    # Cycle rules scored 1.0 cost nothing to unroll: only the ancestor cut
+    # and the depth limit stop them.
+    _assert_cyclic_suite_matches_oracle(7007, 1.0)
+    _assert_cyclic_suite_matches_oracle(7008, 1.0, weak=True)
+    _assert_cyclic_suite_matches_oracle(7009, 1.0, cycles=1, max_depth=5)
+
+
+def test_oracle_equivalence_with_definitional_cycles_below_one():
+    _assert_cyclic_suite_matches_oracle(8008, None)
+    _assert_cyclic_suite_matches_oracle(8009, None, weak=True)
+
+
+def test_oracle_equivalence_with_definitional_cycles_tie_suite():
+    # Every rule scores 1.0: each proof ties on score, and the shortcut that
+    # the ancestor cut relies on wins the tie-break by its step count.
+    _assert_cyclic_suite_matches_oracle(9009, 1.0, tie=True)
+
+
+def test_proof_through_a_variant_of_its_ancestor_is_found():
+    # q(W) below q(Z) is a variant, not identical: the only proof resolves it
+    # with q(b), which binds Z to a through r(Z,W).  A cut up to renaming
+    # would lose it.
+    kb = _kb(
+        "violate_care_physical(X,Y) :- q(Z), t(Z).",
+        "q(Z) :- q(W), r(Z,W).",
+        "q(b).",
+        "r(a,b).",
+        "t(a).",
+    )
+    result = prove_goal(kb, kb.goals[0], EMPTY_STORE, SolverConfig())
+    _assert_oracle_best(result, oracle_best(kb, kb.goals[0].goal_atom, exact_pair_score))
+    assert result is not None
+    assert "q(a) <= r1" in render_proof(result)
+
+
+def test_definitional_cycles_keep_the_frog_verdict_and_stay_cheap(monkeypatch, demo_store, frog_case):
+    # Cycle rules scored 1.0 used to be unrolled down to max_depth: 7,084
+    # solve calls for the frog case against 441 without them.
+    from softprove import prover
+    from softprove.verifier import verify_case
+
+    calls = 0
+    solve = prover._Search.solve
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return solve(self, *args)
+
+    monkeypatch.setattr(prover._Search, "solve", counted)
+    case, _ = frog_case
+    kb = _frog_kb(frog_case)
+    plain = verify_case(case, kb, demo_store)
+    plain_calls, calls = calls, 0
+    cycle = ("frog(X) :- animal(X).", "animal(X) :- creature(X).", "creature(X) :- animal(X).")
+    cyclic_kb = KnowledgeBase(
+        kb.rules + tuple(parse_rule(clause, rule_id=f"cycle{i}") for i, clause in enumerate(cycle)), kb.goals
+    )
+    cyclic = verify_case(case, cyclic_kb, demo_store)
+    assert cyclic.kind is plain.kind
+    assert render_proof(cyclic.proof) == render_proof(plain.proof)
+    assert calls <= 2 * plain_calls
+
+
+def test_bound_skips_candidates_below_the_best_score(monkeypatch):
+    # The first proof scores 1.0, so the 0.9 rule below it is never tried.
+    from softprove import prover
+
+    kb = _kb(
+        "violate_care_physical(X,Y) :- h(X).",
+        "violate_care_physical(X,Y) :- w(X). = 0.9",
+        "h(action).",
+        "w(action).",
+    )
+    tried = []
+    unify = prover.weak_unify_atoms
+
+    def counted(goal, head, *args, **kwargs):
+        tried.append(head.predicate)
+        return unify(goal, head, *args, **kwargs)
+
+    monkeypatch.setattr(prover, "weak_unify_atoms", counted)
+    result = prove_goal(kb, kb.goals[0], EMPTY_STORE, SolverConfig())
+    assert result.proof_score == 1.0 and result.used_rule_ids == {"r0", "r2"}
+    assert tried == ["violate_care_physical", "h"]
 
 
 def test_oracle_enumerates_deep_chain_without_recursion():
