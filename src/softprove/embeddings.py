@@ -1,23 +1,37 @@
 """Word-vector store and the weak-unification score between symbols.
 
 Vectors load from GloVe-style text (one ``token v1 .. vd`` line per token).
-Multiword symbols such as ``physical_harm`` embed as the mean of their
-in-vocabulary underscore-split tokens.  A binary cache (magic ``SPEMB1``,
-little-endian float32) can sidestep repeated text parsing; it is regenerated
-whenever the source file's content hash changes.
+The store holds them as one float32 matrix, one row per token, plus a
+token -> row dict.  Multiword symbols such as ``physical_harm`` embed as the
+mean of their in-vocabulary underscore-split tokens.
+
+A binary cache sidesteps repeated text parsing; it is regenerated whenever the
+source file's content hash (SHA-256) or the ``limit`` changes.  Its layout,
+all integers little-endian:
+
+- magic ``SPEMB2``, then the 32-byte source hash;
+- ``<IIII``: limit (0 for none), dimension, token count, token-blob length;
+- the token blob: the tokens in row order, UTF-8, joined by newlines (a text
+  line cannot hold one, so ``write_cache`` rejects a token that does);
+- the matrix: count x dimension ``<f4`` values, row-major, to the end of file.
+
+A cache is written to a temporary file beside it and moved into place, so a
+reader never sees a half-written one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import os
 import struct
+import uuid
 from pathlib import Path
 from typing import BinaryIO, Mapping, Optional, Union
 
 import numpy as np
 
-CACHE_MAGIC = b"SPEMB1"
+CACHE_MAGIC = b"SPEMB2"
 
 
 class EmbeddingError(ValueError):
@@ -42,35 +56,59 @@ class DimensionMismatch(EmbeddingError):
 
 
 class EmbeddingStore:
-    """Read-only token -> vector map with per-symbol and per-pair score caches."""
+    """Read-only token -> vector map with per-symbol and per-pair score caches.
+
+    The vectors are the rows of one float32 matrix; ``token_vector`` returns a
+    view of its row.
+    """
 
     def __init__(self, dimension: int, vectors: Mapping[str, np.ndarray]) -> None:
+        """Validate ``vectors`` and copy them into the store's own matrix.
+
+        Tokens are lower-cased; a later key that lower-cases to an earlier one
+        replaces its vector and keeps its position.
+        """
         if dimension < 1:
             raise EmbeddingError(f"dimension must be positive, got {dimension}")
-        self.dimension = dimension
-        self._vectors: dict[str, np.ndarray] = {}
+        checked: dict[str, np.ndarray] = {}
         for token, vec in vectors.items():
             if not token:
                 raise EmbeddingError("empty token")
             arr = np.asarray(vec, dtype=np.float32)
             if arr.shape != (dimension,):
                 raise EmbeddingError(f"token {token!r} has shape {arr.shape}, want ({dimension},)")
-            self._vectors[token.lower()] = arr
+            checked[token.lower()] = arr
+        matrix = np.stack(list(checked.values())) if checked else np.empty((0, dimension), np.float32)
+        self._init(dimension, dict(zip(checked, range(len(checked)))), matrix)
+
+    @classmethod
+    def _from_matrix(cls, dimension: int, rows: dict[str, int], matrix: np.ndarray) -> "EmbeddingStore":
+        """The loaders' constructor: ``rows`` maps each token, already lower-cased,
+        to its row of ``matrix``, in row order.  Nothing is re-validated."""
+        store = cls.__new__(cls)
+        store._init(dimension, rows, matrix)
+        return store
+
+    def _init(self, dimension: int, rows: dict[str, int], matrix: np.ndarray) -> None:
+        self.dimension = dimension
+        self._rows = rows
+        self._matrix = matrix
         self._symbol_cache: dict[str, Optional[np.ndarray]] = {}
         self._pair_cache: dict[tuple[str, str], float] = {}
 
     @property
     def vocab_size(self) -> int:
-        return len(self._vectors)
+        return len(self._rows)
 
     def __contains__(self, token: str) -> bool:
-        return token in self._vectors
+        return token in self._rows
 
     def token_vector(self, token: str) -> Optional[np.ndarray]:
-        return self._vectors.get(token)
+        row = self._rows.get(token)
+        return None if row is None else self._matrix[row]
 
     def tokens(self) -> list[str]:
-        return list(self._vectors)
+        return list(self._rows)
 
     @classmethod
     def empty(cls, dimension: int = 1) -> "EmbeddingStore":
@@ -90,7 +128,10 @@ def load_embeddings(
         with open(source, "rb") as fh:
             return load_embeddings(fh, limit=limit)
     dimension: Optional[int] = None
-    vectors: dict[str, np.ndarray] = {}
+    rows: dict[str, int] = {}
+    # One growing buffer: collecting per-row arrays and stacking them at the
+    # end would hold the vocabulary twice at the peak.
+    data = bytearray()
     loaded = 0
     for line_no, raw in enumerate(io.TextIOWrapper(source, encoding="utf-8", errors="replace"), start=1):
         if limit is not None and loaded >= limit:
@@ -109,11 +150,15 @@ def load_embeddings(
             vec = np.array(components, dtype=np.float32)
         except ValueError as exc:
             raise FormatError(line_no) from exc
-        vectors.setdefault(token.lower(), vec)
+        token = token.lower()
+        if token not in rows:  # the first line for a token wins
+            rows[token] = len(rows)
+            data += vec.tobytes()
         loaded += 1
     if dimension is None:
         raise EmptySource()
-    return EmbeddingStore(dimension, vectors)
+    matrix = np.frombuffer(data, dtype=np.float32).reshape(len(rows), dimension)
+    return EmbeddingStore._from_matrix(dimension, rows, matrix)
 
 
 def symbol_embedding(store: EmbeddingStore, symbol: str) -> Optional[np.ndarray]:
@@ -164,33 +209,53 @@ def _content_hash(path: Union[str, Path]) -> bytes:
     return digest.digest()
 
 
+_HEADER = struct.Struct("<IIII")  # limit, dimension, token count, token-blob length
+_HASH_SIZE = 32
+_BLOB_START = len(CACHE_MAGIC) + _HASH_SIZE + _HEADER.size
+
+
 def write_cache(store: EmbeddingStore, cache_path: Union[str, Path], source_hash: bytes, limit: Optional[int]) -> None:
+    """Write ``store`` as an SPEMB2 cache, replacing ``cache_path`` only once the
+    whole file is written."""
     tokens = store.tokens()
-    with open(cache_path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(source_hash)
-        fh.write(struct.pack("<III", limit or 0, store.dimension, len(tokens)))
-        for token in tokens:
-            raw = token.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-        matrix = np.stack([store.token_vector(t) for t in tokens]) if tokens else np.zeros((0, store.dimension), np.float32)
-        fh.write(matrix.astype("<f4").tobytes())
+    if any("\n" in token for token in tokens):
+        raise EmbeddingError("a token contains a newline, which separates tokens in the cache")
+    blob = "\n".join(tokens).encode("utf-8")
+    header = _HEADER.pack(limit or 0, store.dimension, len(tokens), len(blob))
+    cache_path = Path(cache_path)
+    partial = cache_path.with_name(f"{cache_path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(partial, "xb") as fh:
+            fh.write(CACHE_MAGIC + source_hash + header + blob)
+            fh.write(store._matrix.astype("<f4", copy=False))
+        os.replace(partial, cache_path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def read_cache(cache_path: Union[str, Path]) -> tuple[EmbeddingStore, bytes, Optional[int]]:
     with open(cache_path, "rb") as fh:
-        if fh.read(len(CACHE_MAGIC)) != CACHE_MAGIC:
-            raise EmbeddingError(f"{cache_path}: not an SPEMB1 cache file")
-        source_hash = fh.read(32)
-        limit, dimension, count = struct.unpack("<III", fh.read(12))
-        tokens = []
-        for _ in range(count):
-            (length,) = struct.unpack("<H", fh.read(2))
-            tokens.append(fh.read(length).decode("utf-8"))
-        data = np.frombuffer(fh.read(count * dimension * 4), dtype="<f4").reshape(count, dimension)
-        vectors = {token: data[i] for i, token in enumerate(tokens)}
-    return EmbeddingStore(dimension, vectors), source_hash, (limit or None)
+        data = fh.read()
+    if data[: len(CACHE_MAGIC)] != CACHE_MAGIC:
+        raise EmbeddingError(f"{cache_path}: not an SPEMB2 cache file")
+    if len(data) < _BLOB_START:
+        raise EmbeddingError(f"{cache_path}: truncated header")
+    source_hash = data[len(CACHE_MAGIC) : len(CACHE_MAGIC) + _HASH_SIZE]
+    limit, dimension, count, blob_size = _HEADER.unpack_from(data, _BLOB_START - _HEADER.size)
+    matrix_start = _BLOB_START + blob_size
+    try:
+        blob = data[_BLOB_START:matrix_start].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise EmbeddingError(f"{cache_path}: token blob is not UTF-8") from exc
+    tokens = blob.split("\n") if blob else []
+    if dimension < 1 or len(tokens) != count or len(data) - matrix_start != count * dimension * 4:
+        raise EmbeddingError(f"{cache_path}: header disagrees with the token blob or the matrix size")
+    rows = dict(zip(tokens, range(count)))
+    if len(rows) != count:
+        raise EmbeddingError(f"{cache_path}: duplicate token")
+    matrix = np.frombuffer(data, dtype="<f4", count=count * dimension, offset=matrix_start)
+    return EmbeddingStore._from_matrix(dimension, rows, matrix.reshape(count, dimension)), source_hash, (limit or None)
 
 
 def load_embeddings_cached(
@@ -207,8 +272,8 @@ def load_embeddings_cached(
             store, cached_hash, cached_limit = read_cache(cache_path)
             if cached_hash == current_hash and cached_limit == limit:
                 return store
-        except (EmbeddingError, struct.error, ValueError):
-            pass  # corrupt cache: rebuild below
+        except EmbeddingError:
+            pass  # stale layout or corrupt cache: rebuild below
     store = load_embeddings(source_path, limit=limit)
     write_cache(store, cache_path, current_hash, limit)
     return store

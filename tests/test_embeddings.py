@@ -1,11 +1,17 @@
+import errno
+import hashlib
 import io
+import os
 import random
+import struct
 
 import numpy as np
 import pytest
 
+from softprove import embeddings
 from softprove.embeddings import (
     DimensionMismatch,
+    EmbeddingError,
     EmbeddingStore,
     EmptySource,
     FormatError,
@@ -188,5 +194,183 @@ def test_cached_loader_scores_bit_identical(tmp_path, demo_store):
 def test_cache_magic_guard(tmp_path):
     bogus = tmp_path / "bogus.spemb"
     bogus.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
-    with pytest.raises(Exception):
+    with pytest.raises(EmbeddingError):
         read_cache(bogus)
+
+
+def _vectors_text(rng: random.Random, tokens, dimension: int) -> str:
+    return "".join(
+        token + " " + " ".join(repr(rng.uniform(-1.0, 1.0)) for _ in range(dimension)) + "\n" for token in tokens
+    )
+
+
+def _first_wins_mapping(text: str, limit):
+    """The vocabulary a text load should give, parsed with ``float`` and kept as
+    a mapping whose keys keep the case of each token's first line."""
+    mapping, seen = {}, set()
+    for line in text.splitlines()[:limit]:
+        token, *components = line.split(" ")
+        if token.lower() not in seen:
+            seen.add(token.lower())
+            mapping[token] = np.array([float(c) for c in components])
+    return mapping
+
+
+def _demo_symbols(demo_store, principle_doc) -> list[str]:
+    predicates = {a.predicate for rule in principle_doc.rules for a in (rule.head, *rule.body)}
+    extra = {"physical_harm", "pushing_force", "the_frog", "leave_without_permission", "xqzwv_crush"}
+    return sorted(set(demo_store.tokens()) | predicates | extra)
+
+
+@pytest.mark.parametrize("limit", [None, 2, 3])
+def test_text_cache_and_mapping_stores_agree_bit_for_bit(tmp_path, monkeypatch, demo_store, principle_doc, limit):
+    rng = random.Random(29)
+    tokens = []
+    for i, token in enumerate(demo_store.tokens()):
+        tokens.append((token.upper(), token.capitalize(), token)[i % 3])
+        if i % 5 == 2:  # a later line for the same token, in another case: the first wins
+            tokens.append(token.swapcase())
+    text = _vectors_text(rng, tokens, 6)
+    source = tmp_path / "vectors.txt"
+    source.write_text(text, "utf-8")
+    cache = tmp_path / "vectors.spemb"
+
+    from_text = load_embeddings(source, limit=limit)
+    load_embeddings_cached(source, cache, limit=limit)  # writes the cache
+
+    def no_text_load(*args, **kwargs):
+        raise AssertionError("the second load should read the cache")
+
+    monkeypatch.setattr(embeddings, "load_embeddings", no_text_load)
+    from_cache = load_embeddings_cached(source, cache, limit=limit)
+    from_mapping = EmbeddingStore(6, _first_wins_mapping(text, limit))
+
+    expected_tokens = list(dict.fromkeys(t.lower() for t in tokens[:limit]))
+    symbols = _demo_symbols(demo_store, principle_doc)
+    for store in (from_text, from_cache, from_mapping):
+        assert store.tokens() == expected_tokens
+        assert store.vocab_size == len(expected_tokens)
+    for token in expected_tokens:
+        vectors = [store.token_vector(token) for store in (from_text, from_cache, from_mapping)]
+        assert {(v.dtype.str, v.tobytes()) for v in vectors} == {("<f4", vectors[0].tobytes())}, token
+    scores = [
+        [weak_unify_score(store, a, b).hex() for a in symbols for b in symbols]
+        for store in (from_text, from_cache, from_mapping)
+    ]
+    assert scores[0] == scores[1] == scores[2]
+    assert any(s != (0.0).hex() and s != (1.0).hex() for s in scores[0])
+
+
+def _spemb1_bytes(store: EmbeddingStore, source_hash: bytes) -> bytes:
+    """The previous cache layout: per-token length-prefixed names."""
+    tokens = store.tokens()
+    out = bytearray(b"SPEMB1" + source_hash + struct.pack("<III", 0, store.dimension, len(tokens)))
+    for token in tokens:
+        raw = token.encode("utf-8")
+        out += struct.pack("<H", len(raw)) + raw
+    out += np.stack([store.token_vector(t) for t in tokens]).astype("<f4").tobytes()
+    return bytes(out)
+
+
+def _count_disagrees_with_blob(good: bytes, dimension: int) -> bytes:
+    """One fewer token in the header than in the blob, the matrix cut to match
+    the header, so that only the token count is wrong."""
+    at = len(b"SPEMB2") + 32 + 8
+    (count,) = struct.unpack_from("<I", good, at)
+    return good[:at] + struct.pack("<I", count - 1) + good[at + 4 : len(good) - 4 * dimension]
+
+
+@pytest.mark.parametrize("damage", ["spemb1_layout", "truncated_by_one_byte", "count_disagrees_with_blob"])
+def test_damaged_or_old_cache_is_rebuilt(tmp_path, damage):
+    source = tmp_path / "vectors.txt"
+    source.write_text(_vectors_text(random.Random(31), ["cat", "dog", "Frog", "toad"], 4), "utf-8")
+    cache = tmp_path / "vectors.spemb"
+    expected = load_embeddings(source)
+    load_embeddings_cached(source, cache)
+    good = cache.read_bytes()
+    if damage == "spemb1_layout":
+        cache.write_bytes(_spemb1_bytes(expected, hashlib.sha256(source.read_bytes()).digest()))
+    elif damage == "truncated_by_one_byte":
+        cache.write_bytes(good[:-1])
+    else:
+        cache.write_bytes(_count_disagrees_with_blob(good, expected.dimension))
+
+    with pytest.raises(EmbeddingError):
+        read_cache(cache)
+    rebuilt = load_embeddings_cached(source, cache)
+    assert rebuilt.tokens() == expected.tokens()
+    for token in expected.tokens():
+        assert rebuilt.token_vector(token).tobytes() == expected.token_vector(token).tobytes()
+    assert cache.read_bytes() == good
+    assert read_cache(cache)[0].tokens() == expected.tokens()
+
+
+def test_cache_rejects_a_token_with_a_newline(tmp_path):
+    store = EmbeddingStore(2, {"two\nlines": np.array([1.0, 0.0]), "one": np.array([0.0, 1.0])})
+    cache = tmp_path / "newline.spemb"
+    with pytest.raises(EmbeddingError):
+        write_cache(store, cache, source_hash=b"\x02" * 32, limit=None)
+    assert list(tmp_path.iterdir()) == []
+
+
+class _DiskFull:
+    """A file with room for ``room`` bytes: a write past them stores what fits
+    and fails with ENOSPC."""
+
+    def __init__(self, fh, room: int):
+        self.fh = fh
+        self.room = room
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def write(self, data):
+        raw = memoryview(data).cast("B")
+        self.fh.write(raw[: self.room])
+        if len(raw) > self.room:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= len(raw)
+        return len(raw)
+
+
+def test_failed_cache_write_leaves_the_previous_cache(tmp_path, monkeypatch):
+    source = tmp_path / "vectors.txt"
+    cache = tmp_path / "vectors.spemb"
+    source.write_text("cat 1.0 0.0\ndog 0.0 1.0\n")
+    load_embeddings_cached(source, cache)
+    before = cache.read_bytes()
+
+    real_open = open
+
+    def open_with_full_disk(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        return fh if mode.startswith("r") else _DiskFull(fh, room=64)
+
+    monkeypatch.setattr(embeddings, "open", open_with_full_disk, raising=False)
+    source.write_text("cat 1.0 0.0\ndog 0.0 1.0\nfrog 0.5 0.5\n")
+    with pytest.raises(OSError) as excinfo:
+        load_embeddings_cached(source, cache)
+    assert excinfo.value.errno == errno.ENOSPC
+    monkeypatch.undo()
+
+    assert cache.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["vectors.spemb", "vectors.txt"]
+    store, _, _ = read_cache(cache)
+    assert store.tokens() == ["cat", "dog"]
+    assert load_embeddings_cached(source, cache).tokens() == ["cat", "dog", "frog"]
+
+
+def test_cached_loader_detects_a_same_size_source_change(tmp_path):
+    source = tmp_path / "vectors.txt"
+    cache = tmp_path / "vectors.spemb"
+    source.write_text("cat 1.0 0.0\ndog 0.0 1.0\n")
+    load_embeddings_cached(source, cache)
+    stat = source.stat()
+    source.write_text("cat 1.0 0.0\ndog 0.0 2.0\n")
+    os.utime(source, ns=(stat.st_atime_ns, stat.st_mtime_ns))  # size and mtime as before
+    assert source.stat().st_size == stat.st_size
+    store = load_embeddings_cached(source, cache)
+    assert store.token_vector("dog").tolist() == [0.0, 2.0]
