@@ -14,7 +14,7 @@ from .logic import (
     apply_substitution,
     compose,
 )
-from .principles import default_goals, default_principles, load_principles
+from .principles import load_principles
 from .prover import (
     ProofResult,
     ProofStep,
@@ -27,7 +27,7 @@ from .prover import (
 )
 from .refine import CaseSeed, RefineConfig, RefineTrace, refine_loop
 from .ruleparse import RuleDocument, parse_kb, parse_rule, serialize
-from .srl import SemanticFrame, frame_to_facts, load_frame
+from .srl import SemanticFrame, frame_to_facts
 from .verifier import (
     EthicalCase,
     MetricsReport,

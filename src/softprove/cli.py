@@ -6,7 +6,19 @@ Exit codes: 0 success, 1 input error, 2 config error, 3 no proof,
 endpoint, key and model also read ``SOFTPROVE_LLM_URL``, ``SOFTPROVE_LLM_KEY``
 and ``SOFTPROVE_LLM_MODEL``.
 
-Every command that proves takes the solver's three settings and no other:
+Each command takes only the flags it reads; every command takes ``--json``.
+
+- ``parse KB``: no other flag.
+- ``prove KB``: the vector and solver flags.
+- ``verify CASE`` and ``corpus verify MANIFEST [--out]``: the vector and
+  solver flags and ``--principles``.
+- ``refine --case SEED``: those of ``verify``, plus ``--mock`` or ``--live``,
+  ``--lenient-mock``, ``--iterations``, ``--temperature`` and ``--out``.
+- ``embeddings cache``: ``--embeddings``, ``--limit`` and ``--out`` (default
+  ``<source>.spemb``).
+
+The vector flags are ``--embeddings``, ``--embeddings-cache`` and ``--limit``.
+The solver flags are the solver's three settings and no other:
 ``--unify-threshold``, ``--proof-threshold`` and ``--max-depth``.  Goal
 constants name SRL role slots and match by equality only, and every
 reported proof clears the proof threshold.
@@ -25,6 +37,7 @@ from .chat import ChatError, ChatParams, HttpChatClient, MockTranscript, default
 from .embeddings import (
     EmbeddingError,
     EmbeddingStore,
+    default_cache_path,
     load_embeddings,
     load_embeddings_cached,
 )
@@ -37,7 +50,7 @@ from .prover import (
     proof_to_dict,
     render_proof,
 )
-from .refine import CaseSeed, RefineAborted, RefineConfig, RefineError, refine_loop
+from .refine import CaseSeed, RefineConfig, RefineError, refine_loop
 from .ruleparse import KbParseError, RuleSyntaxError, format_rule, parse_kb, serialize
 from .srl import SchemaError, frame_from_dict, frame_to_facts
 from .verifier import (
@@ -71,19 +84,13 @@ def _store(args: argparse.Namespace) -> EmbeddingStore:
     path = args.embeddings
     if path is None:
         return EmbeddingStore.empty()
-    cache = getattr(args, "embeddings_cache", None)
-    limit = getattr(args, "limit", None)
-    if cache:
-        return load_embeddings_cached(path, cache, limit=limit)
-    return load_embeddings(path, limit=limit)
-
-
-def _principles(args: argparse.Namespace):
-    return load_principles(args.principles)
+    if args.embeddings_cache:
+        return load_embeddings_cached(path, args.embeddings_cache, limit=args.limit)
+    return load_embeddings(path, limit=args.limit)
 
 
 def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, indent=2))
     else:
         print(text)
@@ -121,7 +128,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     case, rules = case_from_dict(json.loads(Path(args.case).read_text("utf-8")))
-    principle_doc = _principles(args)
+    principle_doc = load_principles(args.principles)
     kb = assemble_kb(principle_doc.rules, principle_doc.goal_decls, frame_to_facts(case.frame), rules)
     outcome = verify_case(case, kb, _store(args), _solver_config(args))
     payload = {
@@ -144,6 +151,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_refine(args: argparse.Namespace) -> int:
     doc = json.loads(Path(args.case).read_text("utf-8"))
+    if not isinstance(doc, dict):
+        raise InputError(f"{args.case}: seed file must be a JSON object")
     for key in ("id", "statement", "frame"):
         if key not in doc:
             raise InputError(f"{args.case}: seed file missing key {key!r}")
@@ -183,7 +192,7 @@ def cmd_corpus_verify(args: argparse.Namespace) -> int:
     if "cases" not in manifest or not isinstance(manifest["cases"], list):
         raise InputError(f"{args.manifest}: manifest needs a `cases` list")
     base = Path(args.manifest).parent
-    principle_doc = _principles(args)
+    principle_doc = load_principles(args.principles)
     store = _store(args)
     config = _solver_config(args)
 
@@ -213,7 +222,7 @@ def cmd_embeddings_cache(args: argparse.Namespace) -> int:
     source = args.embeddings
     if source is None:
         raise ConfigError("embeddings cache needs --embeddings <file>")
-    cache = args.out or str(Path(source).with_suffix(Path(source).suffix + ".spemb"))
+    cache = args.out or default_cache_path(source)
     store = load_embeddings_cached(source, cache, limit=args.limit)
     payload = {
         "source": str(source),
@@ -234,11 +243,17 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-depth", dest="max_depth", type=int, default=None)
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _add_vector_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--embeddings", default=None, help="GloVe-style text vector file")
     p.add_argument("--embeddings-cache", default=None, help="binary vector cache path")
     p.add_argument("--limit", type=int, default=None, help="load only the first N vector lines")
+
+
+def _add_principles_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--principles", default=None, help="principle library override")
+
+
+def _add_json_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
@@ -248,18 +263,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parse", help="parse a rule file and print its canonical form")
     p.add_argument("kb")
-    _add_common_flags(p)
+    _add_json_flag(p)
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("prove", help="run the solver over a self-contained rule file")
     p.add_argument("kb")
-    _add_common_flags(p)
+    _add_json_flag(p)
+    _add_vector_flags(p)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser("verify", help="verify one case file against its formalized rules")
     p.add_argument("case")
-    _add_common_flags(p)
+    _add_json_flag(p)
+    _add_principles_flag(p)
+    _add_vector_flags(p)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_verify)
 
@@ -271,7 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=3)
     p.add_argument("--temperature", type=float, default=0.5)
     p.add_argument("--out", default=None, help="write the full trace JSON here")
-    _add_common_flags(p)
+    _add_json_flag(p)
+    _add_principles_flag(p)
+    _add_vector_flags(p)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_refine)
 
@@ -280,15 +300,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = corpus_sub.add_parser("verify", help="verify every case in a manifest")
     p.add_argument("manifest")
     p.add_argument("--out", default=None, help="report JSON destination")
-    _add_common_flags(p)
+    _add_json_flag(p)
+    _add_principles_flag(p)
+    _add_vector_flags(p)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_corpus_verify)
 
     emb = sub.add_parser("embeddings", help="embedding store operations")
     emb_sub = emb.add_subparsers(dest="embeddings_command", required=True)
     p = emb_sub.add_parser("cache", help="build the binary vector cache")
-    p.add_argument("--out", default=None)
-    _add_common_flags(p)
+    p.add_argument("--embeddings", default=None, help="GloVe-style text vector file")
+    p.add_argument("--limit", type=int, default=None, help="load only the first N vector lines")
+    p.add_argument("--out", default=None, help="cache path (default <source>.spemb)")
+    _add_json_flag(p)
     p.set_defaults(func=cmd_embeddings_cache)
 
     return parser

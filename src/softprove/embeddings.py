@@ -122,7 +122,8 @@ def load_embeddings(
     """Load GloVe-style text; dimension is inferred from the first line.
 
     ``limit`` keeps only the first ``limit`` vector lines, which is enough for
-    frequency-ordered files when only common words matter.
+    frequency-ordered files when only common words matter.  A binary stream
+    passed in is left open.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
@@ -133,28 +134,32 @@ def load_embeddings(
     # end would hold the vocabulary twice at the peak.
     data = bytearray()
     loaded = 0
-    for line_no, raw in enumerate(io.TextIOWrapper(source, encoding="utf-8", errors="replace"), start=1):
-        if limit is not None and loaded >= limit:
-            break
-        parts = raw.rstrip("\n").split(" ")
-        if parts == [""]:
-            continue
-        token, components = parts[0], parts[1:]
-        if not token or not components:
-            raise FormatError(line_no, "line has no vector components")
-        if dimension is None:
-            dimension = len(components)
-        elif len(components) != dimension:
-            raise DimensionMismatch(line_no, dimension, len(components))
-        try:
-            vec = np.array(components, dtype=np.float32)
-        except ValueError as exc:
-            raise FormatError(line_no) from exc
-        token = token.lower()
-        if token not in rows:  # the first line for a token wins
-            rows[token] = len(rows)
-            data += vec.tobytes()
-        loaded += 1
+    text = io.TextIOWrapper(source, encoding="utf-8", errors="replace")
+    try:
+        for line_no, raw in enumerate(text, start=1):
+            if limit is not None and loaded >= limit:
+                break
+            parts = raw.rstrip("\n").split(" ")
+            if parts == [""]:
+                continue
+            token, components = parts[0], parts[1:]
+            if not token or not components:
+                raise FormatError(line_no, "line has no vector components")
+            if dimension is None:
+                dimension = len(components)
+            elif len(components) != dimension:
+                raise DimensionMismatch(line_no, dimension, len(components))
+            try:
+                vec = np.array(components, dtype=np.float32)
+            except ValueError as exc:
+                raise FormatError(line_no) from exc
+            token = token.lower()
+            if token not in rows:  # the first line for a token wins
+                rows[token] = len(rows)
+                data += vec.tobytes()
+            loaded += 1
+    finally:
+        text.detach()  # collecting an attached wrapper would close the caller's stream
     if dimension is None:
         raise EmptySource()
     matrix = np.frombuffer(data, dtype=np.float32).reshape(len(rows), dimension)
@@ -258,6 +263,12 @@ def read_cache(cache_path: Union[str, Path]) -> tuple[EmbeddingStore, bytes, Opt
     return EmbeddingStore._from_matrix(dimension, rows, matrix.reshape(count, dimension)), source_hash, (limit or None)
 
 
+def default_cache_path(source_path: Union[str, Path]) -> Path:
+    """``<source>.spemb``: where the cache of ``source_path`` goes unless told otherwise."""
+    source_path = Path(source_path)
+    return source_path.with_suffix(source_path.suffix + ".spemb")
+
+
 def load_embeddings_cached(
     source_path: Union[str, Path],
     cache_path: Optional[Union[str, Path]] = None,
@@ -265,7 +276,7 @@ def load_embeddings_cached(
 ) -> EmbeddingStore:
     """Load via the binary cache, rebuilding it on source-hash or limit change."""
     source_path = Path(source_path)
-    cache_path = Path(cache_path) if cache_path else source_path.with_suffix(source_path.suffix + ".spemb")
+    cache_path = Path(cache_path) if cache_path else default_cache_path(source_path)
     current_hash = _content_hash(source_path)
     if cache_path.exists():
         try:

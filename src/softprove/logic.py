@@ -145,48 +145,20 @@ def foundation_for_goal_predicate(predicate: str) -> MoralViolation:
     raise LogicError(f"goal predicate {predicate!r} names no known moral foundation")
 
 
-class OriginKind(Enum):
-    PRINCIPLE = "principle"
-    SRL_FACT = "srl_fact"
-    GENERATED_FACT = "generated_fact"
-    GOAL_DECL = "goal_decl"
-
-
-@dataclass(frozen=True)
-class Origin:
-    """Where a rule came from; generated facts remember their source fact id."""
-
-    kind: OriginKind
-    nl_fact_id: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.kind is OriginKind.GENERATED_FACT and not self.nl_fact_id:
-            raise LogicError("generated-fact origin requires an nl_fact_id")
-        if self.kind is not OriginKind.GENERATED_FACT and self.nl_fact_id is not None:
-            raise LogicError(f"{self.kind.value} origin carries no nl_fact_id")
-
-
-PRINCIPLE = Origin(OriginKind.PRINCIPLE)
-SRL_FACT = Origin(OriginKind.SRL_FACT)
-GOAL_DECL = Origin(OriginKind.GOAL_DECL)
-
-
-def generated_fact(nl_fact_id: str) -> Origin:
-    return Origin(OriginKind.GENERATED_FACT, nl_fact_id)
-
-
 @dataclass(frozen=True)
 class Rule:
     """A scored implication clause; an empty body makes it a fact.
 
     A score of exactly 1.0 marks a true fact; anything lower is a soft rule.
+    ``fact_id`` names the explanation fact a formalized rule came from; it is
+    None for principles and frame facts.
     """
 
     head: Atom
     body: tuple[Atom, ...]
     score: float
     id: str
-    origin: Origin = PRINCIPLE
+    fact_id: Optional[str] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "body", tuple(self.body))
@@ -194,6 +166,8 @@ class Rule:
             raise ScoreRangeError(f"rule score must be in (0, 1], got {self.score}")
         if not self.id:
             raise LogicError("rule id must be non-empty")
+        if self.fact_id == "":
+            raise LogicError("fact id must be non-empty when given")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Union
 
-from .logic import GoalSpec, PRINCIPLE, Rule
 from .ruleparse import RuleDocument, parse_kb
 
 PRINCIPLE_ID_PREFIX = "p"
@@ -21,18 +20,10 @@ def principles_text() -> str:
 @lru_cache(maxsize=8)
 def _load(path: Optional[str]) -> RuleDocument:
     text = principles_text() if path is None else Path(path).read_text("utf-8")
-    return parse_kb(text, origin=PRINCIPLE, id_prefix=PRINCIPLE_ID_PREFIX)
+    return parse_kb(text, id_prefix=PRINCIPLE_ID_PREFIX)
 
 
 def load_principles(path: Optional[Union[str, Path]] = None) -> RuleDocument:
     """Parse the shipped library, or an override file, as principle rules."""
     return _load(str(path) if path is not None else None)
-
-
-def default_principles() -> tuple[Rule, ...]:
-    return load_principles().rules
-
-
-def default_goals() -> tuple[GoalSpec, ...]:
-    return load_principles().goal_decls
 

@@ -1,11 +1,12 @@
 """Prompt template registry for the refinement pipeline.
 
-Each template names the slots it requires; rendering with a missing slot is
-an error.
+A template's slots are the replacement fields of its user text; rendering
+with a missing slot is an error.
 """
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,14 +29,12 @@ class PromptTemplate:
     role: PromptRole
     system: str
     user: str
-    required_slots: frozenset[str]
 
     def render(self, **slots: str) -> list[Message]:
-        missing = self.required_slots - set(slots)
+        missing = {name for _, name, _, _ in string.Formatter().parse(self.user) if name} - set(slots)
         if missing:
             raise TemplateError(f"{self.role.value} template missing slots: {sorted(missing)}")
-        filled = {k: v for k, v in slots.items() if k in self.required_slots}
-        return [("system", self.system), ("user", self.user.format(**filled))]
+        return [("system", self.system), ("user", self.user.format(**slots))]
 
 
 _FOUNDATIONS_BRIEF = """\
@@ -69,7 +68,6 @@ _SEMANTIC = PromptTemplate(
         "Hypothesis: fairness"
     ),
     user="Statement: {statement}\nRoles: {frame}\nPrinciples:\n{principles}",
-    required_slots=frozenset({"statement", "frame", "principles"}),
 )
 
 _AUTOFORMALIZE = PromptTemplate(
@@ -87,7 +85,6 @@ _AUTOFORMALIZE = PromptTemplate(
         "Example:\nFact: neighbors are friends\nfriend(X) :- neighbor(X). = 1.0"
     ),
     user="Roles: {frame}\nFact: {facts}",
-    required_slots=frozenset({"facts", "frame"}),
 )
 
 _ABDUCE = PromptTemplate(
@@ -101,7 +98,6 @@ _ABDUCE = PromptTemplate(
         "  Answer in exactly this format:\nPremises:\n1. <premise>\n2. <premise>"
     ),
     user="Statement: {statement}\nVerified premises: {facts}\nHypothesis: {hypothesis}",
-    required_slots=frozenset({"statement", "facts", "hypothesis"}),
 )
 
 _DEDUCE = PromptTemplate(
@@ -112,7 +108,6 @@ _DEDUCE = PromptTemplate(
         + "\n\nAnswer with a single line:\nHypothesis: <foundation>"
     ),
     user="Premises:\n{facts}",
-    required_slots=frozenset({"facts"}),
 )
 
 TEMPLATES: dict[PromptRole, PromptTemplate] = {

@@ -51,7 +51,6 @@ from .logic import (
     GoalSpec,
     KnowledgeBase,
     MoralViolation,
-    OriginKind,
     Rule,
     Substitution,
     Term,
@@ -391,8 +390,8 @@ def facts_in_proof(result: ProofResult, kb: KnowledgeBase) -> set[str]:
     ids: set[str] = set()
     for step in result.proof.walk():
         rule = kb.rule_by_id(step.rule_id)
-        if rule.origin.kind is OriginKind.GENERATED_FACT:
-            ids.add(rule.origin.nl_fact_id)  # type: ignore[arg-type]
+        if rule.fact_id is not None:
+            ids.add(rule.fact_id)
     return ids
 
 

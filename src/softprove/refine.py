@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .chat import ChatClient, ChatError, ChatParams
 from .embeddings import EmbeddingStore
-from .logic import MoralViolation, Rule, generated_fact
+from .logic import MoralViolation, Rule
 from .principles import load_principles
 from .prompts import PromptRole, template
 from .prover import ConfigError, ProofResult, SolverConfig, facts_in_proof
@@ -141,7 +141,6 @@ def semantic_inference(
     client: ChatClient,
     params: ChatParams = ChatParams(),
     principles_text: str = "",
-    first_fact_index: int = 1,
 ) -> tuple[list[Fact], MoralViolation]:
     """Initial explanation facts and violation hypothesis for a statement."""
     messages = template(PromptRole.SEMANTIC).render(
@@ -159,7 +158,7 @@ def semantic_inference(
     else:
         raise ParseFailure("reply lacks Premises:/Hypothesis: structure", reply)
     hypothesis = parse_hypothesis(reply, require_marker=True)
-    facts = [(f"f{first_fact_index + i}", text) for i, text in enumerate(premises)]
+    facts = [(f"f{i}", text) for i, text in enumerate(premises, start=1)]
     return facts, hypothesis
 
 
@@ -207,7 +206,7 @@ def _parse_clauses(reply: str, fact_id: str) -> tuple[list[Rule], list[tuple[str
             continue
         try:
             parsed.append(
-                parse_rule(line, rule_id=f"g_{fact_id}_{index}", origin=generated_fact(fact_id))
+                parse_rule(line, rule_id=f"g_{fact_id}_{index}", fact_id=fact_id)
             )
             index += 1
         except (RuleSyntaxError, ValueError) as exc:
@@ -299,11 +298,14 @@ class IterationRecord:
     explanation: tuple[Fact, ...]
     hypothesis: MoralViolation
     kb_text: str
-    proof: Optional[ProofResult]
     outcome: VerificationOutcome
     added_facts: tuple[Fact, ...] = ()
     pruned_fact_ids: tuple[str, ...] = ()
     dropped_clauses: tuple[str, ...] = ()  # warnings from formalizing this iteration's new facts
+
+    @property
+    def proof(self) -> Optional[ProofResult]:
+        return self.outcome.proof
 
 
 @dataclass(frozen=True)
@@ -395,7 +397,7 @@ def refine_loop(
             except (ChatError, RefineError) as exc:
                 raise abort(exc) from exc
             for fid, _ in fresh:
-                formalized[fid] = [r for r in new_rules if r.origin.nl_fact_id == fid]
+                formalized[fid] = [r for r in new_rules if r.fact_id == fid]
         rules = [rule for fid, _ in facts for rule in formalized[fid]]
         if not rules and facts:  # no facts left: confirm on principles and frame facts
             empty = AutoformalizationEmpty("no formalized rules parsed from any fact", dropped)
@@ -416,7 +418,6 @@ def refine_loop(
             explanation=facts,
             hypothesis=hypothesis,
             kb_text=kb_text,
-            proof=outcome.proof,
             outcome=outcome,
             added_facts=added,
             dropped_clauses=tuple(dropped),

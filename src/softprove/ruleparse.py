@@ -19,7 +19,7 @@ facts, and formalized explanation facts.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import logic
@@ -28,8 +28,6 @@ from .logic import (
     Atom,
     Constant,
     GoalSpec,
-    Origin,
-    PRINCIPLE,
     Rule,
     Term,
     Variable,
@@ -71,17 +69,10 @@ class KbParseError(ValueError):
 
 @dataclass
 class RuleDocument:
-    """A parsed rule file: rules, goal declarations, and source spans."""
+    """A parsed rule file: rules and goal declarations."""
 
     rules: tuple[Rule, ...] = ()
     goal_decls: tuple[GoalSpec, ...] = ()
-    source_spans: dict[str, tuple[int, int]] = field(default_factory=dict)
-
-    def __eq__(self, other: object) -> bool:
-        # Structural equality: spans are provenance, not content.
-        if not isinstance(other, RuleDocument):
-            return NotImplemented
-        return self.rules == other.rules and self.goal_decls == other.goal_decls
 
 
 _TOKEN_RE = re.compile(
@@ -191,8 +182,7 @@ class _Parser:
             raise ScoreRangeError(tok.line, tok.column, score)
         return score
 
-    def clause(self, rule_id: str, origin: Origin) -> tuple[Rule, tuple[int, int]]:
-        start = self.peek()
+    def clause(self, rule_id: str, fact_id: Optional[str] = None) -> Rule:
         head = self.atom()
         body: list[Atom] = []
         if self.peek().kind == "implies":
@@ -203,8 +193,7 @@ class _Parser:
                 body.append(self.atom())
         self.expect("punct", ".")
         score = self.score_suffix()
-        rule = Rule(head=head, body=tuple(body), score=score, id=rule_id, origin=origin)
-        return rule, (start.line, start.column)
+        return Rule(head=head, body=tuple(body), score=score, id=rule_id, fact_id=fact_id)
 
     def goal_decl(self) -> list[GoalSpec]:
         start = self.expect("symbol", "goal")
@@ -240,17 +229,20 @@ class _Parser:
                 return
 
 
-def parse_rule(text: str, rule_id: str = "r0", origin: Origin = PRINCIPLE) -> Rule:
-    """Parse a single clause; raises RuleSyntaxError with position on bad input."""
+def parse_rule(text: str, rule_id: str = "r0", fact_id: Optional[str] = None) -> Rule:
+    """Parse a single clause; raises RuleSyntaxError with position on bad input.
+
+    ``fact_id`` tags a formalized rule with the explanation fact it came from.
+    """
     parser = _Parser(_tokenize(text))
-    rule, _ = parser.clause(rule_id, origin)
+    rule = parser.clause(rule_id, fact_id)
     if not parser.at_end():
         tok = parser.peek()
         raise RuleSyntaxError(tok.line, tok.column, "end of input", repr(tok.text))
     return rule
 
 
-def parse_kb(text: str, origin: Origin = PRINCIPLE, id_prefix: str = "r") -> RuleDocument:
+def parse_kb(text: str, id_prefix: str = "r") -> RuleDocument:
     """Parse a whole document, aggregating per-clause diagnostics.
 
     Duplicate identical clauses are retained; rule ids are assigned in
@@ -262,7 +254,6 @@ def parse_kb(text: str, origin: Origin = PRINCIPLE, id_prefix: str = "r") -> Rul
         raise KbParseError([exc]) from exc
     rules: list[Rule] = []
     goals: list[GoalSpec] = []
-    spans: dict[str, tuple[int, int]] = {}
     errors: list[RuleSyntaxError] = []
     index = 0
     while not parser.at_end():
@@ -270,17 +261,14 @@ def parse_kb(text: str, origin: Origin = PRINCIPLE, id_prefix: str = "r") -> Rul
             if parser.at_goal_decl():
                 goals.extend(parser.goal_decl())
             else:
-                rule_id = f"{id_prefix}{index}"
-                rule, span = parser.clause(rule_id, origin)
-                rules.append(rule)
-                spans[rule_id] = span
+                rules.append(parser.clause(f"{id_prefix}{index}"))
                 index += 1
         except RuleSyntaxError as exc:
             errors.append(exc)
             parser.skip_to_next_clause(exc.line)
     if errors:
         raise KbParseError(errors)
-    return RuleDocument(rules=tuple(rules), goal_decls=tuple(goals), source_spans=spans)
+    return RuleDocument(rules=tuple(rules), goal_decls=tuple(goals))
 
 
 _PLAIN_DECIMAL = re.compile(r"[0-9]+\.[0-9]{1,6}\Z")

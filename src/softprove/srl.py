@@ -8,12 +8,11 @@ the frame grounds as facts over the role constants ``action``, ``patient``,
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .logic import Atom, Constant, Rule, SRL_FACT
+from .logic import Atom, Constant, Rule
 
 _NON_ALNUM = re.compile(r"[^a-z0-9]+")
 
@@ -53,7 +52,10 @@ class SemanticFrame:
         object.__setattr__(self, "extra_roles", dict(self.extra_roles))
 
 
-def frame_from_dict(doc: dict) -> SemanticFrame:
+def frame_from_dict(doc: object) -> SemanticFrame:
+    """Validate one frame document (parsed JSON) and build its frame."""
+    if not isinstance(doc, dict):
+        raise SchemaError(["frame document must be a JSON object"])
     problems = []
     for key in ("statement", "action"):
         if key not in doc:
@@ -87,17 +89,6 @@ def frame_from_dict(doc: dict) -> SemanticFrame:
     )
 
 
-def load_frame(document: str) -> SemanticFrame:
-    """Parse one frame from JSON text."""
-    try:
-        doc = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise SchemaError([f"invalid JSON: {exc}"]) from exc
-    if not isinstance(doc, dict):
-        raise SchemaError(["frame document must be a JSON object"])
-    return frame_from_dict(doc)
-
-
 def _phrase_facts(
     phrase: str, role_constant: str, rule_id_base: str, keep_head_noun: bool = False
 ) -> list[Rule]:
@@ -117,7 +108,6 @@ def _phrase_facts(
             body=(),
             score=1.0,
             id=rule_id_base,
-            origin=SRL_FACT,
         )
     ]
     head_noun = symbol.rsplit("_", 1)[-1]
@@ -128,7 +118,6 @@ def _phrase_facts(
                 body=(),
                 score=1.0,
                 id=f"{rule_id_base}_head",
-                origin=SRL_FACT,
             )
         )
     return facts
@@ -142,7 +131,6 @@ def frame_to_facts(frame: SemanticFrame) -> tuple[Rule, ...]:
             body=(),
             score=1.0,
             id="srl_action",
-            origin=SRL_FACT,
         )
     ]
     if frame.patient is not None:

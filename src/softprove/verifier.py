@@ -12,13 +12,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .embeddings import EmbeddingStore
-from .logic import (
-    GoalSpec,
-    KnowledgeBase,
-    MoralViolation,
-    Rule,
-    generated_fact,
-)
+from .logic import GoalSpec, KnowledgeBase, MoralViolation, Rule
 from .prover import ConfigError, ProofResult, SolverConfig, facts_in_proof, prove_all_goals
 from .ruleparse import parse_rule
 from .srl import SemanticFrame, frame_from_dict
@@ -78,9 +72,9 @@ def verify_case(
 ) -> VerificationOutcome:
     """Prove the goals over a fully assembled knowledge base and classify.
 
-    ``kb`` must already hold the formalized explanation rules (generated-fact
-    origins matching the case's fact ids), the frame facts, the principle
-    library, and goal declarations.
+    ``kb`` must already hold the formalized explanation rules (each tagged
+    with the ``fact_id`` of one of the case's facts), the frame facts, the
+    principle library, and goal declarations.
     """
     if not kb.goals:
         raise ConfigError("knowledge base carries no goal declarations")
@@ -241,13 +235,26 @@ def metrics_to_dict(report: MetricsReport) -> dict:
 # -- case files ---------------------------------------------------------------
 
 
-def case_from_dict(doc: dict) -> tuple[EthicalCase, tuple[Rule, ...]]:
+def _entries(doc: dict, key: str, fields: tuple[str, ...]) -> list[dict]:
+    """The list under ``key``; each entry must be an object with string ``fields``."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise ValueError(f"case {doc['id']}: {key} must be a list")
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not all(isinstance(entry.get(f), str) for f in fields):
+            raise ValueError(f"case {doc['id']}: {key}[{index}] needs string keys {', '.join(fields)}")
+    return entries
+
+
+def case_from_dict(doc: object) -> tuple[EthicalCase, tuple[Rule, ...]]:
     """Load an EthicalCase plus its pre-formalized rules from JSON data."""
+    if not isinstance(doc, dict):
+        raise ValueError("case document must be a JSON object")
     for key in ("id", "statement", "frame", "nl_facts", "hypothesis"):
         if key not in doc:
             raise ValueError(f"case document missing key: {key}")
     frame = frame_from_dict(doc["frame"])
-    nl_facts = tuple((f["id"], f["text"]) for f in doc["nl_facts"])
+    nl_facts = tuple((f["id"], f["text"]) for f in _entries(doc, "nl_facts", ("id", "text")))
     case = EthicalCase(
         id=doc["id"],
         statement=doc["statement"],
@@ -259,13 +266,13 @@ def case_from_dict(doc: dict) -> tuple[EthicalCase, tuple[Rule, ...]]:
     rules: list[Rule] = []
     counters: dict[str, int] = {}
     known_ids = case.fact_ids()
-    for entry in doc.get("rules", ()):
+    for entry in _entries(doc, "rules", ("fact_id", "clause")):
         fact_id = entry["fact_id"]
         if fact_id not in known_ids:
             raise ValueError(f"case {case.id}: rule references unknown fact id {fact_id!r}")
         index = counters.get(fact_id, 0)
         counters[fact_id] = index + 1
         rules.append(
-            parse_rule(entry["clause"], rule_id=f"g_{fact_id}_{index}", origin=generated_fact(fact_id))
+            parse_rule(entry["clause"], rule_id=f"g_{fact_id}_{index}", fact_id=fact_id)
         )
     return case, tuple(rules)

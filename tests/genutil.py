@@ -22,7 +22,6 @@ from softprove.logic import (
     GoalSpec,
     KnowledgeBase,
     MoralViolation,
-    PRINCIPLE,
     Rule,
     Variable,
 )
@@ -226,13 +225,12 @@ def random_layered_kb(
                         body=body_atoms(arity, layers[level + 1]),
                         score=score(),
                         id=f"r{count}",
-                        origin=PRINCIPLE,
                     )
                 )
                 count += 1
     for pred, arity in layers[-1]:
         args = tuple(rng.choice(consts) for _ in range(arity))
-        rules.append(Rule(head=Atom(pred, args), body=(), score=score(), id=f"r{count}", origin=PRINCIPLE))
+        rules.append(Rule(head=Atom(pred, args), body=(), score=score(), id=f"r{count}"))
         count += 1
 
     goal_pred, violation = rng.choice(sorted(_FOUNDATION_GOALS.items()))
@@ -244,7 +242,6 @@ def random_layered_kb(
             body=body_atoms(2, layers[0]),
             score=score(),
             id="root",
-            origin=PRINCIPLE,
         ),
     )
     goal = GoalSpec(violation, Atom(goal_pred, (Constant("a"), rng.choice(consts))))
@@ -280,7 +277,7 @@ def with_definitional_cycles(
         args = variables[:arity]
         for i, (head, body) in enumerate(((p, q), (q, p))):
             score = cycle_score if cycle_score is not None else round(rng.uniform(0.5, 0.999999), 6)
-            rule = Rule(Atom(head, args), (Atom(body, args),), score, f"c{2 * n + i}", PRINCIPLE)
+            rule = Rule(Atom(head, args), (Atom(body, args),), score, f"c{2 * n + i}")
             rules.insert(rng.randint(0, len(rules)), rule)
     return KnowledgeBase(tuple(rules), kb.goals)
 
@@ -291,7 +288,7 @@ _GOAL_PREDICATES = sorted(_FOUNDATION_GOALS)
 
 
 def random_document(rng: random.Random, max_rules: int = 6) -> RuleDocument:
-    """A structurally valid document with parser-compatible ids and origins."""
+    """A structurally valid document with parser-compatible rule ids."""
 
     def symbol() -> str:
         return "".join(rng.choice("abcdefgh_") for _ in range(rng.randint(1, 6))).strip("_") or "p"
@@ -318,7 +315,6 @@ def random_document(rng: random.Random, max_rules: int = 6) -> RuleDocument:
             body=tuple(atom() for _ in range(rng.randint(0, 3))),
             score=parseable_score(),
             id=f"r{i}",
-            origin=PRINCIPLE,
         )
         for i in range(rng.randint(0, max_rules))
     )

@@ -299,6 +299,58 @@ def test_embeddings_cache_command(tmp_path, capsys):
     assert out_path.exists()
 
 
+def _data_doc(relative: str) -> dict:
+    return json.loads(resources.files("softprove").joinpath(f"data/{relative}").read_text())
+
+
+FROG = _data_doc("cases/frog.json")
+PRISON = _data_doc("cases/prison_seed.json")
+BAD_CASES = {
+    "number": 5,
+    "frame-list": dict(FROG, frame=["a"]),
+    "frame-string": dict(FROG, frame="kick"),
+    "fact-without-text": dict(FROG, nl_facts=[{"id": "f1"}]),
+    "facts-not-a-list": dict(FROG, nl_facts={"id": "f1", "text": "t"}),
+    "rule-without-clause": dict(FROG, rules=[{"fact_id": "f1"}]),
+    "rule-without-fact-id": dict(FROG, rules=[{"clause": "compression(X) :- crush(X). = 1.0"}]),
+    "rule-a-string": dict(FROG, rules=["compression(X) :- crush(X). = 1.0"]),
+}
+BAD_SEEDS = {"number": 5, "frame-list": dict(PRISON, frame=["a"]), "frame-string": dict(PRISON, frame="kick")}
+REFINE = ["refine", "--mock", data_path("transcripts/prison.json"), "--case"]
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [pytest.param(["verify"], doc, id=f"verify-{name}") for name, doc in BAD_CASES.items()]
+    + [pytest.param(REFINE, doc, id=f"refine-{name}") for name, doc in BAD_SEEDS.items()],
+)
+def test_malformed_case_or_seed_is_an_input_error(tmp_path, capsys, command, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, *command, str(path))
+    assert code == 1
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", "kb.pl", "--embeddings", "x"],
+        ["parse", "kb.pl", "--embeddings-cache", "x"],
+        ["parse", "kb.pl", "--limit", "1"],
+        ["parse", "kb.pl", "--principles", "x"],
+        ["prove", "kb.pl", "--principles", "x"],
+        ["embeddings", "cache", "--embeddings", "v.txt", "--embeddings-cache", "x"],
+        ["embeddings", "cache", "--embeddings", "v.txt", "--principles", "x"],
+    ],
+)
+def test_commands_reject_flags_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_missing_file_exit_1(capsys):
     code, _, err = _run(capsys, "parse", "/nonexistent/kb.pl")
     assert code == 1

@@ -1,4 +1,5 @@
 import errno
+import gc
 import hashlib
 import io
 import os
@@ -33,6 +34,19 @@ def test_load_two_line_stream():
     store = load_embeddings(_stream("cat 1.0 0.0 0.0\ndog 0.0 1.0 0.0\n"))
     assert store.vocab_size == 2
     assert store.dimension == 3
+
+
+def test_load_leaves_the_callers_stream_open():
+    for text in ("cat 1.0 0.0\ndog 0.0 1.0\n", "cat 1.0\ndog 1.0 2.0\n"):  # a load and a failed load
+        stream = _stream(text)
+        try:
+            load_embeddings(stream)
+        except DimensionMismatch:
+            pass
+        gc.collect()
+        assert not stream.closed
+        stream.seek(0)
+        assert stream.read(3) == b"cat"
 
 
 def test_dimension_mismatch_reports_line():

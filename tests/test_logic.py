@@ -8,14 +8,10 @@ from softprove.logic import (
     Atom,
     Constant,
     EMPTY_SUBSTITUTION,
-    GoalSpec,
     KnowledgeBase,
     LogicError,
     MoralViolation,
     OccursCheckViolation,
-    Origin,
-    OriginKind,
-    PRINCIPLE,
     Rule,
     ScoreRangeError,
     Substitution,
@@ -24,10 +20,9 @@ from softprove.logic import (
     atom,
     compose,
     foundation_for_goal_predicate,
-    generated_fact,
 )
-from softprove.principles import default_goals, default_principles, load_principles
-from softprove.ruleparse import RuleDocument, parse_rule, serialize
+from softprove.principles import load_principles
+from softprove.ruleparse import parse_rule, serialize
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 a, b = Constant("a"), Constant("b")
@@ -61,12 +56,12 @@ def test_rule_score_range():
         Rule(head=head, body=(), score=1.2, id="r")
 
 
-def test_origin_shapes():
-    assert generated_fact("f1").nl_fact_id == "f1"
+def test_rule_fact_id_is_none_or_non_empty():
+    head = atom("p", "x")
+    assert Rule(head=head, body=(), score=1.0, id="r").fact_id is None
+    assert Rule(head=head, body=(), score=1.0, id="r", fact_id="f1").fact_id == "f1"
     with pytest.raises(LogicError):
-        Origin(OriginKind.GENERATED_FACT)
-    with pytest.raises(LogicError):
-        Origin(OriginKind.PRINCIPLE, nl_fact_id="f1")
+        Rule(head=head, body=(), score=1.0, id="r", fact_id="")
 
 
 def test_kb_rejects_duplicate_ids():
@@ -184,29 +179,29 @@ def test_default_principles_contains_the_care_animal_rule():
     expected = parse_rule("violate_care_physical(X,Y) :- physical_harm(X), animal(Y). = 1.0")
     matches = [
         r
-        for r in default_principles()
+        for r in load_principles().rules
         if r.head == expected.head and r.body == expected.body and r.score == expected.score
     ]
     assert len(matches) == 1
 
 
 def test_default_principles_all_true_facts():
-    rules = default_principles()
+    rules = load_principles().rules
     assert rules
     assert all(r.score == 1.0 for r in rules)
-    assert all(r.origin is PRINCIPLE for r in rules)
+    assert all(r.fact_id is None for r in rules)
 
 
 def test_default_principles_cover_every_foundation():
     covered = set()
-    for rule in default_principles():
+    for rule in load_principles().rules:
         if rule.head.predicate.startswith("violate_"):
             covered.add(foundation_for_goal_predicate(rule.head.predicate))
     assert covered == set(MoralViolation)
 
 
 def test_default_goals_cover_every_foundation_and_are_ground():
-    goals = default_goals()
+    goals = load_principles().goal_decls
     assert {g.violation for g in goals} == set(MoralViolation)
     assert all(isinstance(t, Constant) for g in goals for t in g.goal_atom.args)
 
@@ -223,7 +218,7 @@ def test_principles_serialization_is_byte_stable():
 
 
 def test_goal_predicate_mapping_total_over_known_predicates():
-    for goal in default_goals():
+    for goal in load_principles().goal_decls:
         assert foundation_for_goal_predicate(goal.goal_atom.predicate) is goal.violation
     assert foundation_for_goal_predicate("violate_care_emotional") is MoralViolation.CARE
     with pytest.raises(LogicError):

@@ -18,15 +18,12 @@ from softprove.logic import (
     GoalSpec,
     KnowledgeBase,
     MoralViolation,
-    PRINCIPLE,
     Rule,
     Substitution,
     Variable,
-    apply_substitution,
     apply_term,
     atom,
     compose,
-    generated_fact,
 )
 from softprove.ruleparse import parse_rule
 from softprove.prover import (
@@ -494,7 +491,7 @@ def test_facts_in_proof_subset_of_generated_ids():
         kb, goal, _ = random_layered_kb(rng)
         tagged = KnowledgeBase(
             tuple(
-                replace(r, origin=generated_fact(f"nl_{r.id}")) if rng.random() < 0.5 else r
+                replace(r, fact_id=f"nl_{r.id}") if rng.random() < 0.5 else r
                 for r in kb.rules
             ),
             kb.goals,
@@ -502,9 +499,7 @@ def test_facts_in_proof_subset_of_generated_ids():
         result = prove_goal(tagged, goal, EMPTY_STORE, SolverConfig(proof_threshold=0.01))
         if result is None:
             continue
-        all_generated = {
-            r.origin.nl_fact_id for r in tagged.rules if r.origin.nl_fact_id is not None
-        }
+        all_generated = {r.fact_id for r in tagged.rules if r.fact_id is not None}
         assert facts_in_proof(result, tagged) <= all_generated
 
 
@@ -755,7 +750,6 @@ def test_monotonicity_under_rule_addition_100_instances():
             body=(Atom(extra_body.predicate, tuple(Variable(f"W{i}") for i in range(extra_body.arity))),),
             score=round(rng.uniform(0.5, 1.0), 6),
             id="extra",
-            origin=PRINCIPLE,
         )
         after = prove_goal(KnowledgeBase(kb.rules + (extra,), kb.goals), goal, store, SolverConfig())
         if before is not None:

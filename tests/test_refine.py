@@ -3,8 +3,8 @@ from importlib import resources
 
 import pytest
 
-from softprove.chat import ChatParams, MockTranscript, TranscriptEntry, TranscriptMiss
-from softprove.logic import MoralViolation, OriginKind
+from softprove.chat import MockTranscript, TranscriptEntry, TranscriptMiss
+from softprove.logic import MoralViolation
 from softprove.prompts import PromptRole, TemplateError, template
 from softprove.refine import (
     AutoformalizationEmpty,
@@ -16,16 +16,15 @@ from softprove.refine import (
     abductive_inference,
     autoformalize,
     deductive_inference,
-    frame_summary,
     parse_hypothesis,
     parse_premises,
     refine_loop,
     semantic_inference,
 )
-from softprove.srl import load_frame
+from softprove.srl import frame_from_dict
 
-FROG_FRAME = load_frame(
-    '{"statement": "I crushed the frog", "action": "crush", "agent": "I", "patient": "the frog"}'
+FROG_FRAME = frame_from_dict(
+    {"statement": "I crushed the frog", "action": "crush", "agent": "I", "patient": "the frog"}
 )
 
 
@@ -40,7 +39,7 @@ def _prison_seed():
     return CaseSeed(
         id=doc["id"],
         statement=doc["statement"],
-        frame=load_frame(json.dumps(doc["frame"])),
+        frame=frame_from_dict(doc["frame"]),
         gold_violation=MoralViolation(doc["gold_violation"]),
     )
 
@@ -134,8 +133,7 @@ def test_autoformalize_tags_origin():
     rules, warnings = autoformalize([("f1", "neighbors are friends")], FROG_FRAME, client)
     assert warnings == []
     (rule,) = rules
-    assert rule.origin.kind is OriginKind.GENERATED_FACT
-    assert rule.origin.nl_fact_id == "f1"
+    assert rule.fact_id == "f1"
     assert rule.head.predicate == "friend"
 
 
@@ -221,8 +219,6 @@ def test_prison_trace_byte_identical_across_runs(demo_store):
 
 
 def test_pruning_is_exact(demo_store):
-    from softprove.logic import generated_fact  # noqa: F401  (documentation import)
-
     _, trace = refine_loop(_prison_seed(), RefineConfig(), _prison_client(), demo_store)
     redundant = trace.records[1]
     survivors = {fid for fid, _ in trace.records[2].explanation}

@@ -1,18 +1,14 @@
-import json
-
 import pytest
 
-from softprove.logic import Constant, OriginKind
+from softprove.logic import Constant
 from softprove.ruleparse import format_rule, parse_rule
-from softprove.srl import SchemaError, frame_to_facts, load_frame, normalize_phrase
+from softprove.srl import SchemaError, frame_from_dict, frame_to_facts, normalize_phrase
 
-FROG_DOC = json.dumps(
-    {"statement": "I crushed the frog", "action": "crush", "agent": "I", "patient": "the frog"}
-)
+FROG_DOC = {"statement": "I crushed the frog", "action": "crush", "agent": "I", "patient": "the frog"}
 
 
-def test_load_frame_frog():
-    frame = load_frame(FROG_DOC)
+def test_frame_from_dict_frog():
+    frame = frame_from_dict(FROG_DOC)
     assert frame.action_lemma == "crush"
     assert frame.agent == "I"
     assert normalize_phrase(frame.patient) == "the_frog"
@@ -20,13 +16,13 @@ def test_load_frame_frog():
 
 def test_missing_action_is_schema_error():
     with pytest.raises(SchemaError) as excinfo:
-        load_frame('{"statement": "x"}')
+        frame_from_dict({"statement": "x"})
     assert "action" in str(excinfo.value)
 
 
 def test_ill_typed_keys_reported_together():
     with pytest.raises(SchemaError) as excinfo:
-        load_frame('{"statement": 1, "action": 2, "agent": 3}')
+        frame_from_dict({"statement": 1, "action": 2, "agent": 3})
     message = str(excinfo.value)
     assert "statement" in message and "action" in message and "agent" in message
 
@@ -40,7 +36,7 @@ def test_normalization_rules():
 
 
 def test_frame_to_facts_frog():
-    frame = load_frame(FROG_DOC)
+    frame = frame_from_dict(FROG_DOC)
     facts = frame_to_facts(frame)
     rendered = {format_rule(r) for r in facts}
     assert rendered == {
@@ -52,30 +48,30 @@ def test_frame_to_facts_frog():
 
 
 def test_frame_without_agent_emits_no_agent_fact():
-    frame = load_frame('{"statement": "s", "action": "wave", "patient": "crowd"}')
+    frame = frame_from_dict({"statement": "s", "action": "wave", "patient": "crowd"})
     predicates = {r.head.predicate for r in frame_to_facts(frame)}
     assert predicates == {"wave", "crowd"}
     assert not any(r.head.args == (Constant("agent"),) for r in frame_to_facts(frame))
 
 
 def test_facts_are_ground_unit_scored_srl_rules():
-    frame = load_frame(FROG_DOC)
+    frame = frame_from_dict(FROG_DOC)
     for rule in frame_to_facts(frame):
         assert rule.body == ()
         assert rule.score == 1.0
-        assert rule.origin.kind is OriginKind.SRL_FACT
+        assert rule.fact_id is None
         assert all(isinstance(t, Constant) for t in rule.head.args)
 
 
 def test_single_word_patient_has_no_head_noun_duplicate():
-    frame = load_frame('{"statement": "s", "action": "kick", "patient": "dog"}')
+    frame = frame_from_dict({"statement": "s", "action": "kick", "patient": "dog"})
     predicates = [r.head.predicate for r in frame_to_facts(frame)]
     assert predicates.count("dog") == 1
 
 
 def test_extra_roles_sorted_and_grounded():
-    frame = load_frame(
-        '{"statement": "s", "action": "cut", "roles": {"instrument": "sharp knife", "beneficiary": "my guests"}}'
+    frame = frame_from_dict(
+        {"statement": "s", "action": "cut", "roles": {"instrument": "sharp knife", "beneficiary": "my guests"}}
     )
     facts = frame_to_facts(frame)
     rendered = [format_rule(r) for r in facts]
@@ -87,14 +83,14 @@ def test_extra_roles_sorted_and_grounded():
 
 
 def test_facts_parse_back_through_ruleparse():
-    frame = load_frame(FROG_DOC)
+    frame = frame_from_dict(FROG_DOC)
     for rule in frame_to_facts(frame):
-        reparsed = parse_rule(format_rule(rule), rule_id=rule.id, origin=rule.origin)
+        reparsed = parse_rule(format_rule(rule), rule_id=rule.id)
         assert reparsed.head == rule.head
         assert reparsed.body == rule.body
         assert reparsed.score == rule.score
 
 
 def test_frame_to_facts_deterministic():
-    frame = load_frame(FROG_DOC)
+    frame = frame_from_dict(FROG_DOC)
     assert frame_to_facts(frame) == frame_to_facts(frame)

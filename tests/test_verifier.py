@@ -12,7 +12,6 @@ from softprove.ruleparse import parse_rule
 from softprove.srl import frame_to_facts
 from softprove.verifier import (
     EthicalCase,
-    MetricsReport,
     OutcomeKind,
     VerificationOutcome,
     aggregate_metrics,
@@ -22,7 +21,6 @@ from softprove.verifier import (
     render_metrics,
     verify_case,
 )
-from softprove.logic import generated_fact
 
 EMPTY_STORE = EmbeddingStore.empty()
 
@@ -44,7 +42,7 @@ def test_frog_case_valid_non_redundant(demo_store, frog_case):
 
 def test_unused_generated_fact_makes_it_redundant(demo_store, frog_case):
     case, rules = frog_case
-    filler = parse_rule("sky_is_blue(action). = 1.0", rule_id="g_f4_0", origin=generated_fact("f4"))
+    filler = parse_rule("sky_is_blue(action). = 1.0", rule_id="g_f4_0", fact_id="f4")
     padded = EthicalCase(
         id=case.id,
         statement=case.statement,
@@ -109,7 +107,7 @@ def test_valid_non_redundant_iff_conditions(demo_store, frog_case):
 
 def test_removing_unused_fact_keeps_best_score(demo_store, frog_case):
     case, rules = frog_case
-    filler = parse_rule("sky_is_blue(action). = 1.0", rule_id="g_f4_0", origin=generated_fact("f4"))
+    filler = parse_rule("sky_is_blue(action). = 1.0", rule_id="g_f4_0", fact_id="f4")
     with_filler = _frog_kb(case, rules, [filler])
     without = _frog_kb(case, rules)
     score_with = prove_all_goals(with_filler, with_filler.goals, demo_store, SolverConfig())[1].proof_score
@@ -231,7 +229,7 @@ def test_case_round_trip(frog_case):
     case, rules = frog_case
     doc = _frog_doc()
     doc["rules"] = [
-        {"fact_id": r.origin.nl_fact_id, "clause": "compression(X) :- crush(X). = 1.0"}
+        {"fact_id": r.fact_id, "clause": "compression(X) :- crush(X). = 1.0"}
         for r in rules[:1]
     ]
     again, again_rules = case_from_dict(doc)
