@@ -23,11 +23,7 @@ Message = tuple[str, str]
 
 
 class ChatError(RuntimeError):
-    pass
-
-
-class TranscriptMiss(ChatError):
-    """Strict mock received a prompt with no matching transcript entry."""
+    """A failed call, a malformed transcript, or a strict mock's unmatched prompt."""
 
 
 @dataclass(frozen=True)
@@ -91,7 +87,7 @@ class MockTranscript:
             if entry.role == role and entry.match in rendered:
                 return entry.response
         if self.strict:
-            raise TranscriptMiss(
+            raise ChatError(
                 f"no transcript entry for role {role!r}; prompt starts: {rendered[:120]!r}"
             )
         return ""

@@ -2,7 +2,15 @@
 embeddings cache.
 
 Exit codes: 0 success, 1 input error, 2 config error, 3 no proof,
-4 LLM/client error.  Settings come from flags only; the chat client's
+4 LLM/client error.  Each error prints one ``error: <message>`` line on
+stderr, and its type picks the code: a ``ConfigError`` (a missing or
+contradictory flag) exits 2; a ``RefineError`` or ``ChatError`` (the client
+failed, or the refine loop aborted) exits 4; any other ``ValueError`` (bad
+rule, case, seed, manifest or vector text) or ``OSError`` (a missing file, a
+directory given as a file) exits 1.  An aborted ``refine --out`` still writes
+the partial trace: the iterations recorded before the abort, ``valid: false``.
+
+Settings come from flags only; the chat client's
 endpoint, key and model also read ``SOFTPROVE_LLM_URL``, ``SOFTPROVE_LLM_KEY``
 and ``SOFTPROVE_LLM_MODEL``.
 
@@ -17,7 +25,8 @@ Each command takes only the flags it reads; every command takes ``--json``.
 - ``embeddings cache``: ``--embeddings``, ``--limit`` and ``--out`` (default
   ``<source>.spemb``).
 
-The vector flags are ``--embeddings``, ``--embeddings-cache`` and ``--limit``.
+The vector flags are ``--embeddings``, ``--embeddings-cache`` and ``--limit``;
+the last two need the first.
 The solver flags are the solver's three settings and no other:
 ``--unify-threshold``, ``--proof-threshold`` and ``--max-depth``.  Goal
 constants name SRL role slots and match by equality only, and every
@@ -34,14 +43,8 @@ from pathlib import Path
 from typing import Optional
 
 from .chat import ChatError, ChatParams, HttpChatClient, MockTranscript, default_model
-from .embeddings import (
-    EmbeddingError,
-    EmbeddingStore,
-    default_cache_path,
-    load_embeddings,
-    load_embeddings_cached,
-)
-from .logic import KnowledgeBase, LogicError
+from .embeddings import EmbeddingStore, default_cache_path, load_embeddings, load_embeddings_cached
+from .logic import KnowledgeBase
 from .principles import load_principles
 from .prover import (
     ConfigError,
@@ -50,9 +53,9 @@ from .prover import (
     proof_to_dict,
     render_proof,
 )
-from .refine import CaseSeed, RefineConfig, RefineError, refine_loop
-from .ruleparse import KbParseError, RuleSyntaxError, format_rule, parse_kb, serialize
-from .srl import SchemaError, frame_from_dict, frame_to_facts
+from .refine import CaseSeed, RefineAborted, RefineConfig, RefineError, RefineTrace, refine_loop
+from .ruleparse import format_rule, parse_kb, serialize
+from .srl import frame_from_dict, frame_to_facts
 from .verifier import (
     MoralViolation,
     aggregate_metrics,
@@ -83,10 +86,17 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
 def _store(args: argparse.Namespace) -> EmbeddingStore:
     path = args.embeddings
     if path is None:
+        if args.embeddings_cache is not None or args.limit is not None:
+            raise ConfigError("--embeddings-cache and --limit need --embeddings <file>")
         return EmbeddingStore.empty()
     if args.embeddings_cache:
         return load_embeddings_cached(path, args.embeddings_cache, limit=args.limit)
     return load_embeddings(path, limit=args.limit)
+
+
+def _write_trace(args: argparse.Namespace, trace: RefineTrace) -> None:
+    if args.out:
+        Path(args.out).write_text(trace.to_json() + "\n", "utf-8")
 
 
 def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
@@ -174,9 +184,13 @@ def cmd_refine(args: argparse.Namespace) -> int:
         principles_path=args.principles,
         params=ChatParams(model=default_model(), temperature=args.temperature),
     )
-    case, trace = refine_loop(seed, config, client, _store(args))
-    if args.out:
-        Path(args.out).write_text(trace.to_json() + "\n", "utf-8")
+    store = _store(args)
+    try:
+        case, trace = refine_loop(seed, config, client, store)
+    except RefineAborted as exc:
+        _write_trace(args, exc.trace)
+        raise
+    _write_trace(args, trace)
     summary = [f"{case.id}: valid={trace.valid} hypothesis={case.hypothesis.value}"]
     for record in trace.records:
         summary.append(
@@ -189,7 +203,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
 
 def cmd_corpus_verify(args: argparse.Namespace) -> int:
     manifest = json.loads(Path(args.manifest).read_text("utf-8"))
-    if "cases" not in manifest or not isinstance(manifest["cases"], list):
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("cases"), list):
         raise InputError(f"{args.manifest}: manifest needs a `cases` list")
     base = Path(args.manifest).parent
     principle_doc = load_principles(args.principles)
@@ -323,23 +337,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except ConfigError as exc:  # a ValueError, so caught before the input errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RefineError, ChatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CLIENT
-    except (
-        KbParseError,
-        RuleSyntaxError,
-        SchemaError,
-        EmbeddingError,
-        LogicError,
-        InputError,
-        json.JSONDecodeError,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -35,24 +35,7 @@ CACHE_MAGIC = b"SPEMB2"
 
 
 class EmbeddingError(ValueError):
-    pass
-
-
-class EmptySource(EmbeddingError):
-    def __init__(self) -> None:
-        super().__init__("embedding source contains no vector lines")
-
-
-class FormatError(EmbeddingError):
-    def __init__(self, line_no: int, detail: str = "non-numeric vector component") -> None:
-        self.line_no = line_no
-        super().__init__(f"line {line_no}: {detail}")
-
-
-class DimensionMismatch(EmbeddingError):
-    def __init__(self, line_no: int, expected: int, got: int) -> None:
-        self.line_no = line_no
-        super().__init__(f"line {line_no}: expected {expected} components, got {got}")
+    """A malformed vector source or cache; a source error names its line."""
 
 
 class EmbeddingStore:
@@ -144,15 +127,15 @@ def load_embeddings(
                 continue
             token, components = parts[0], parts[1:]
             if not token or not components:
-                raise FormatError(line_no, "line has no vector components")
+                raise EmbeddingError(f"line {line_no}: line has no vector components")
             if dimension is None:
                 dimension = len(components)
             elif len(components) != dimension:
-                raise DimensionMismatch(line_no, dimension, len(components))
+                raise EmbeddingError(f"line {line_no}: expected {dimension} components, got {len(components)}")
             try:
                 vec = np.array(components, dtype=np.float32)
             except ValueError as exc:
-                raise FormatError(line_no) from exc
+                raise EmbeddingError(f"line {line_no}: non-numeric vector component") from exc
             token = token.lower()
             if token not in rows:  # the first line for a token wins
                 rows[token] = len(rows)
@@ -161,7 +144,7 @@ def load_embeddings(
     finally:
         text.detach()  # collecting an attached wrapper would close the caller's stream
     if dimension is None:
-        raise EmptySource()
+        raise EmbeddingError("embedding source contains no vector lines")
     matrix = np.frombuffer(data, dtype=np.float32).reshape(len(rows), dimension)
     return EmbeddingStore._from_matrix(dimension, rows, matrix)
 

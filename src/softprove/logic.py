@@ -23,18 +23,6 @@ class LogicError(ValueError):
     """A structurally malformed logic object."""
 
 
-class ArityError(LogicError):
-    pass
-
-
-class ScoreRangeError(LogicError):
-    pass
-
-
-class OccursCheckViolation(LogicError):
-    pass
-
-
 @dataclass(frozen=True)
 class Variable:
     """A logic variable; names start with an uppercase letter."""
@@ -80,9 +68,9 @@ class Atom:
         object.__setattr__(self, "args", tuple(self.args))
         object.__setattr__(self, "arity", len(self.args))
         if self.arity < 1:
-            raise ArityError(f"atom {self.predicate!r} needs at least one argument")
+            raise LogicError(f"atom {self.predicate!r} needs at least one argument")
         if self.arity > MAX_ARITY:
-            raise ArityError(
+            raise LogicError(
                 f"atom {self.predicate!r} has arity {self.arity}, cap is {MAX_ARITY}"
             )
 
@@ -119,25 +107,10 @@ class MoralViolation(Enum):
     LIBERTY = "liberty"
 
 
-# Goal predicates understood out of the box.  Care splits into two goal
-# predicates (physical and emotional harm) that map to the same foundation;
-# physical harm covers human and animal patients through two library rules.
-GOAL_PREDICATE_FOUNDATION: dict[str, MoralViolation] = {
-    "violate_care_physical": MoralViolation.CARE,
-    "violate_care_emotional": MoralViolation.CARE,
-    "violate_fairness": MoralViolation.FAIRNESS,
-    "violate_loyalty": MoralViolation.LOYALTY,
-    "violate_authority": MoralViolation.AUTHORITY,
-    "violate_sanctity": MoralViolation.SANCTITY,
-    "violate_liberty": MoralViolation.LIBERTY,
-}
-
-
 def foundation_for_goal_predicate(predicate: str) -> MoralViolation:
-    """Map a ``violate_*`` goal predicate to its foundation (total mapping)."""
-    known = GOAL_PREDICATE_FOUNDATION.get(predicate)
-    if known is not None:
-        return known
+    """The foundation that an underscore-separated part of a ``violate_*`` goal
+    predicate names: ``violate_care_physical`` and ``violate_care_emotional``
+    both stand for care."""
     parts = predicate.split("_")
     for violation in MoralViolation:
         if violation.value in parts:
@@ -163,7 +136,7 @@ class Rule:
     def __post_init__(self) -> None:
         object.__setattr__(self, "body", tuple(self.body))
         if not (0.0 < self.score <= 1.0):
-            raise ScoreRangeError(f"rule score must be in (0, 1], got {self.score}")
+            raise LogicError(f"rule score must be in (0, 1], got {self.score}")
         if not self.id:
             raise LogicError("rule id must be non-empty")
         if self.fact_id == "":
@@ -222,7 +195,7 @@ class Substitution:
         items = dict(bindings) if bindings else {}
         for name, term in items.items():
             if isinstance(term, Variable) and term.name == name:
-                raise OccursCheckViolation(f"variable {name} would bind to itself")
+                raise LogicError(f"variable {name} would bind to itself")
         self._bindings = items
 
     def get(self, name: str) -> Optional[Term]:

@@ -10,6 +10,13 @@ facts used in the proof and, budget permitting, re-verifies once so the trace
 records the pruned state.  An invalid iteration asks the client for missing
 premises (seeded with whatever facts survived in the failed proof) and then
 re-derives the hypothesis from the extended explanation.
+
+The loop has one abort path: a ``ChatError`` or ``RefineError`` from any step
+(a failed or unmatched client call, a reply that does not parse, a hypothesis
+that names no foundation, or facts of which none formalizes into a rule) ends
+it with ``RefineAborted``, which carries the trace of the iterations recorded
+so far.  ``autoformalize`` itself never raises on an empty result; the loop
+decides that a case without rules cannot go on.
 """
 
 from __future__ import annotations
@@ -25,9 +32,9 @@ from .embeddings import EmbeddingStore
 from .logic import MoralViolation, Rule
 from .principles import load_principles
 from .prompts import PromptRole, template
-from .prover import ConfigError, ProofResult, SolverConfig, facts_in_proof
-from .ruleparse import RuleDocument, RuleSyntaxError, parse_rule, serialize
-from .srl import SemanticFrame
+from .prover import ConfigError, ProofResult, SolverConfig, facts_in_proof, proof_to_dict, render_proof
+from .ruleparse import RuleDocument, parse_rule, serialize
+from .srl import SemanticFrame, frame_to_facts
 from .verifier import (
     EthicalCase,
     OutcomeKind,
@@ -45,30 +52,9 @@ class RefineError(RuntimeError):
     pass
 
 
-class ParseFailure(RefineError):
-    """Reply kept its raw text for inspection."""
-
-    def __init__(self, message: str, raw: str) -> None:
-        super().__init__(message)
-        self.raw = raw
-
-
-class UnknownViolation(RefineError):
-    def __init__(self, label: str) -> None:
-        super().__init__(f"hypothesis label names no known foundation: {label!r}")
-        self.label = label
-
-
-class AutoformalizationEmpty(RefineError):
-    """No rule parsed; ``warnings`` names the clauses dropped on the way."""
-
-    def __init__(self, message: str, warnings: Sequence[str] = ()) -> None:
-        super().__init__(message)
-        self.warnings = list(warnings)
-
-
 class RefineAborted(RefineError):
-    """Client failure mid-loop; the partial trace is preserved."""
+    """The loop's one abort: ``cause`` is the ``ChatError`` or ``RefineError``
+    that ended it, ``trace`` holds the iterations recorded before it."""
 
     def __init__(self, trace: "RefineTrace", cause: Exception) -> None:
         super().__init__(f"refinement aborted: {cause}")
@@ -107,13 +93,13 @@ def parse_hypothesis(reply: str, require_marker: bool = False) -> MoralViolation
     if marker is not None:
         candidate = marker.group(1)
     elif require_marker:
-        raise ParseFailure("reply lacks a Hypothesis: line", reply)
+        raise RefineError("reply lacks a Hypothesis: line")
     else:
         candidate = reply
     words = set(_WORD.findall(candidate.lower()))
     named = [v for v in MoralViolation if v.value in words]
     if len(named) != 1:
-        raise UnknownViolation(candidate.strip())
+        raise RefineError(f"hypothesis label names no known foundation: {candidate.strip()!r}")
     return named[0]
 
 
@@ -156,7 +142,7 @@ def semantic_inference(
         if attempt == 0:
             reply = client.complete(messages, tagged)
     else:
-        raise ParseFailure("reply lacks Premises:/Hypothesis: structure", reply)
+        raise RefineError("reply lacks Premises:/Hypothesis: structure")
     hypothesis = parse_hypothesis(reply, require_marker=True)
     facts = [(f"f{i}", text) for i, text in enumerate(premises, start=1)]
     return facts, hypothesis
@@ -171,10 +157,9 @@ def autoformalize(
     """Translate each fact into scored rules tagged with that fact's id.
 
     A reply with unparsable lines is re-asked once; lines that still fail are
-    dropped with a logged warning, never silently.
+    dropped with a logged warning, never silently.  No fact, or no parsable
+    clause, gives no rules.
     """
-    if not nl_facts:
-        raise AutoformalizationEmpty("no facts to formalize")
     tagged = params.tagged(PromptRole.AUTOFORMALIZE.value)
     summary = frame_summary(frame)
     rules: list[Rule] = []
@@ -191,8 +176,6 @@ def autoformalize(
             warnings.append(message)
             logger.warning(message)
         rules.extend(parsed)
-    if not rules:
-        raise AutoformalizationEmpty("no formalized rules parsed from any fact", warnings)
     return rules, warnings
 
 
@@ -209,7 +192,7 @@ def _parse_clauses(reply: str, fact_id: str) -> tuple[list[Rule], list[tuple[str
                 parse_rule(line, rule_id=f"g_{fact_id}_{index}", fact_id=fact_id)
             )
             index += 1
-        except (RuleSyntaxError, ValueError) as exc:
+        except ValueError as exc:
             bad.append((line, str(exc)))
     return parsed, bad
 
@@ -237,7 +220,7 @@ def abductive_inference(
         reply = client.complete(messages, tagged)
         premises = parse_premises(reply)
         if not premises:
-            raise ParseFailure("abductive reply contains no premises", reply)
+            raise RefineError("abductive reply contains no premises")
     seen = {t.strip().casefold() for t in existing_texts}
     fresh: list[Fact] = []
     index = first_fact_index
@@ -265,7 +248,7 @@ def deductive_inference(
     if not reply.strip():
         reply = client.complete(messages, tagged)
         if not reply.strip():
-            raise ParseFailure("deductive reply is empty", reply)
+            raise RefineError("deductive reply is empty")
     return parse_hypothesis(reply)
 
 
@@ -319,8 +302,6 @@ class RefineTrace:
     final_explanation: tuple[Fact, ...]
 
     def to_dict(self) -> dict:
-        from .prover import proof_to_dict, render_proof
-
         def record_dict(record: IterationRecord) -> dict:
             return {
                 "index": record.index,
@@ -357,28 +338,48 @@ def refine_loop(
     client: ChatClient,
     store: EmbeddingStore,
 ) -> tuple[EthicalCase, RefineTrace]:
-    """Run the bounded repair loop and return the final case plus full trace."""
-    from .srl import frame_to_facts
+    """Run the bounded repair loop and return the final case plus full trace.
 
+    Any ``ChatError`` or ``RefineError`` raises ``RefineAborted`` with the
+    trace of the iterations recorded so far."""
+    records: list[IterationRecord] = []
+    try:
+        facts, hypothesis = _iterate(seed, config, client, store, records)
+    except (ChatError, RefineError) as exc:
+        trace = _finish_trace(seed, records, valid=False, facts=(), hypothesis=None)
+        raise RefineAborted(trace, exc) from exc
+    final_case = EthicalCase(
+        id=seed.id,
+        statement=seed.statement,
+        frame=seed.frame,
+        nl_facts=facts,
+        hypothesis=hypothesis,
+        gold_violation=seed.gold_violation,
+    )
+    trace = _finish_trace(
+        seed, records, valid=records[-1].outcome.valid, facts=facts, hypothesis=hypothesis
+    )
+    return final_case, trace
+
+
+def _iterate(
+    seed: CaseSeed,
+    config: RefineConfig,
+    client: ChatClient,
+    store: EmbeddingStore,
+    records: list[IterationRecord],
+) -> tuple[tuple[Fact, ...], MoralViolation]:
+    """The loop's iterations, appended to ``records``; returns the final facts
+    and hypothesis."""
     principle_doc = load_principles(config.principles_path)
     if not principle_doc.goal_decls:
         raise ConfigError("principle library declares no goals")
     principles_slot = serialize(RuleDocument(rules=principle_doc.rules))
     srl_rules = frame_to_facts(seed.frame)
 
-    records: list[IterationRecord] = []
-
-    def abort(cause: Exception) -> RefineAborted:
-        trace = _finish_trace(seed, records, valid=False, facts=(), hypothesis=None)
-        return RefineAborted(trace, cause)
-
-    try:
-        fact_list, hypothesis = semantic_inference(
-            seed.statement, seed.frame, client, config.params, principles_slot
-        )
-    except (ChatError, RefineError) as exc:
-        raise abort(exc) from exc
-
+    fact_list, hypothesis = semantic_inference(
+        seed.statement, seed.frame, client, config.params, principles_slot
+    )
     facts: tuple[Fact, ...] = tuple(fact_list)
     formalized: dict[str, list[Rule]] = {}  # fact id -> its rules; each fact is formalized once
     next_fact_index = len(facts) + 1
@@ -390,18 +391,12 @@ def refine_loop(
         fresh = [fact for fact in facts if fact[0] not in formalized]
         dropped: list[str] = []
         if fresh:
-            try:
-                new_rules, dropped = autoformalize(fresh, seed.frame, client, config.params)
-            except AutoformalizationEmpty as exc:
-                new_rules, dropped = [], exc.warnings
-            except (ChatError, RefineError) as exc:
-                raise abort(exc) from exc
+            new_rules, dropped = autoformalize(fresh, seed.frame, client, config.params)
             for fid, _ in fresh:
                 formalized[fid] = [r for r in new_rules if r.fact_id == fid]
         rules = [rule for fid, _ in facts for rule in formalized[fid]]
         if not rules and facts:  # no facts left: confirm on principles and frame facts
-            empty = AutoformalizationEmpty("no formalized rules parsed from any fact", dropped)
-            raise abort(empty) from empty
+            raise RefineError("no formalized rules parsed from any fact")
         kb = assemble_kb(principle_doc.rules, principle_doc.goal_decls, srl_rules, rules)
         case = EthicalCase(
             id=seed.id,
@@ -438,43 +433,27 @@ def refine_loop(
                     continue
             else:
                 records.append(record)
-            break
+            return facts, hypothesis
 
         records.append(record)
         if iteration >= config.max_iterations:
-            break
+            return facts, hypothesis
         used = facts_in_proof(outcome.proof, kb) if outcome.proof else set()
         kept_texts = [t for fid, t in facts if fid in used]
-        try:
-            new_facts = abductive_inference(
-                kept_texts,
-                hypothesis,
-                seed.statement,
-                client,
-                config.params,
-                existing_texts=[t for _, t in facts],
-                first_fact_index=next_fact_index,
-            )
-            next_fact_index += len(new_facts)
-            facts = tuple(new_facts) + facts
-            hypothesis = deductive_inference(facts, client, config.params)
-        except (ChatError, RefineError) as exc:
-            raise abort(exc) from exc
+        new_facts = abductive_inference(
+            kept_texts,
+            hypothesis,
+            seed.statement,
+            client,
+            config.params,
+            existing_texts=[t for _, t in facts],
+            first_fact_index=next_fact_index,
+        )
+        next_fact_index += len(new_facts)
+        facts = tuple(new_facts) + facts
+        hypothesis = deductive_inference(facts, client, config.params)
         added = tuple(new_facts)
         iteration += 1
-
-    final_case = EthicalCase(
-        id=seed.id,
-        statement=seed.statement,
-        frame=seed.frame,
-        nl_facts=facts,
-        hypothesis=hypothesis,
-        gold_violation=seed.gold_violation,
-    )
-    trace = _finish_trace(
-        seed, records, valid=records[-1].outcome.valid, facts=facts, hypothesis=hypothesis
-    )
-    return final_case, trace
 
 
 def _finish_trace(

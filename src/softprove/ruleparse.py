@@ -22,7 +22,6 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from . import logic
 from .logic import (
     MAX_ARITY,
     Atom,
@@ -45,18 +44,6 @@ class RuleSyntaxError(ValueError):
         self.found = found
         detail = f", found {found}" if found else ""
         super().__init__(f"line {line}, column {column}: expected {expected}{detail}")
-
-
-class ArityError(RuleSyntaxError, logic.ArityError):
-    def __init__(self, line: int, column: int, arity: int) -> None:
-        RuleSyntaxError.__init__(self, line, column, f"arity <= {MAX_ARITY}", f"arity {arity}")
-        self.arity = arity
-
-
-class ScoreRangeError(RuleSyntaxError, logic.ScoreRangeError):
-    def __init__(self, line: int, column: int, score: float) -> None:
-        RuleSyntaxError.__init__(self, line, column, "score in (0, 1]", repr(score))
-        self.score = score
 
 
 class KbParseError(ValueError):
@@ -165,7 +152,7 @@ class _Parser:
             self.next()
             args.append(self.term())
         if len(args) > MAX_ARITY:
-            raise ArityError(name.line, name.column, len(args))
+            raise RuleSyntaxError(name.line, name.column, f"arity <= {MAX_ARITY}", f"arity {len(args)}")
         self.expect("punct", ")")
         return Atom(name.text, tuple(args))
 
@@ -179,7 +166,7 @@ class _Parser:
             raise RuleSyntaxError(tok.line, tok.column, "at most 6 fractional digits", tok.text)
         score = float(tok.text)
         if not (0.0 < score <= 1.0):
-            raise ScoreRangeError(tok.line, tok.column, score)
+            raise RuleSyntaxError(tok.line, tok.column, "score in (0, 1]", repr(score))
         return score
 
     def clause(self, rule_id: str, fact_id: Optional[str] = None) -> Rule:

@@ -8,7 +8,6 @@ from softprove.chat import (
     HttpChatClient,
     MockTranscript,
     TranscriptEntry,
-    TranscriptMiss,
 )
 
 
@@ -42,7 +41,7 @@ def test_mock_entries_are_reusable():
 
 def test_strict_mock_raises_on_miss():
     client = _client([("semantic", "frog", "x")])
-    with pytest.raises(TranscriptMiss):
+    with pytest.raises(ChatError, match="^no transcript entry for role 'semantic'"):
         client.complete([("user", "a dog instead")], ChatParams().tagged("semantic"))
 
 

@@ -205,6 +205,29 @@ def test_refine_client_miss_exit_4(tmp_path, capsys):
         data_path("demo_vectors.txt"),
     )
     assert code == 4
+    # Without its abduce entry the prison transcript misses after iteration 0;
+    # --out still gets the partial trace.
+    entries = json.loads(resources.files("softprove").joinpath("data/transcripts/prison.json").read_text())
+    transcript.write_text(json.dumps([e for e in entries if e["role"] != "abduce"]))
+    trace_path = tmp_path / "trace.json"
+    code, _, err = _run(
+        capsys,
+        "refine",
+        "--case",
+        data_path("cases/prison_seed.json"),
+        "--mock",
+        str(transcript),
+        "--embeddings",
+        data_path("demo_vectors.txt"),
+        "--out",
+        str(trace_path),
+    )
+    assert code == 4
+    assert err.startswith("error: refinement aborted: no transcript entry for role 'abduce'")
+    trace = json.loads(trace_path.read_text())
+    jsonschema.validate(trace, _schema("trace"))
+    assert [r["outcome"] for r in trace["iterations"]] == ["invalid_no_proof"]
+    assert trace["valid"] is False
 
 
 def _write_corpus(tmp_path):
@@ -354,3 +377,37 @@ def test_commands_reject_flags_they_do_not_read(capsys, argv):
 def test_missing_file_exit_1(capsys):
     code, _, err = _run(capsys, "parse", "/nonexistent/kb.pl")
     assert code == 1
+
+
+def _bad_input(tmp_path, name: str, text: str) -> str:
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        pytest.param(["parse", "{dir}"], 1, "Is a directory", id="kb-directory"),
+        pytest.param(["verify", "{frog}", "--embeddings", "{dir}"], 1, "Is a directory", id="embeddings-directory"),
+        pytest.param(["corpus", "verify", "{manifest_number}"], 1, "manifest needs a `cases` list", id="manifest-number"),
+        pytest.param(["corpus", "verify", "{manifest_string}"], 1, "manifest needs a `cases` list", id="manifest-string"),
+        pytest.param(["verify", "{frog}", "--embeddings-cache", "{dir}/x.spemb"], 2, "need --embeddings", id="cache-alone"),
+        pytest.param(["verify", "{frog}", "--limit", "5"], 2, "need --embeddings", id="limit-alone"),
+        pytest.param(["parse", "{bad_clause}"], 1, "line 1, column 14: expected ')'", id="bad-clause"),
+        pytest.param(["verify", "{frog}", "--embeddings", "{bad_vectors}"], 1, "line 2: expected 2 components, got 1", id="bad-vector-line"),
+    ],
+)
+def test_exit_code_contract(tmp_path, capsys, argv, code, message):
+    paths = {
+        "dir": str(tmp_path),
+        "frog": data_path("cases/frog.json"),
+        "manifest_number": _bad_input(tmp_path, "number.json", "5"),
+        "manifest_string": _bad_input(tmp_path, "string.json", '"cases"'),
+        "bad_clause": _bad_input(tmp_path, "bad.pl", "broken(clause"),
+        "bad_vectors": _bad_input(tmp_path, "vectors.txt", "cat 1.0 0.0\ndog 1.0\n"),
+    }
+    got, out, err = _run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err

@@ -3,16 +3,14 @@ from importlib import resources
 
 import pytest
 
-from softprove.chat import MockTranscript, TranscriptEntry, TranscriptMiss
+from softprove.chat import ChatError, MockTranscript, TranscriptEntry
 from softprove.logic import MoralViolation
 from softprove.prompts import PromptRole, TemplateError, template
 from softprove.refine import (
-    AutoformalizationEmpty,
     CaseSeed,
-    ParseFailure,
     RefineAborted,
     RefineConfig,
-    UnknownViolation,
+    RefineError,
     abductive_inference,
     autoformalize,
     deductive_inference,
@@ -86,9 +84,9 @@ def test_parse_hypothesis_tolerates_wording():
 
 
 def test_parse_hypothesis_unknown_label():
-    with pytest.raises(UnknownViolation):
+    with pytest.raises(RefineError, match="^hypothesis label names no known foundation: 'honor'$"):
         parse_hypothesis("Hypothesis: honor")
-    with pytest.raises(UnknownViolation):
+    with pytest.raises(RefineError, match="names no known foundation: 'care or maybe fairness'"):
         parse_hypothesis("Hypothesis: care or maybe fairness")
 
 
@@ -113,15 +111,14 @@ def test_semantic_inference_fact_count_matches_reply():
 
 def test_semantic_inference_unknown_violation():
     client = _mock([("semantic", "frog", "Premises:\n1. x.\nHypothesis: honor")])
-    with pytest.raises(UnknownViolation):
+    with pytest.raises(RefineError, match="names no known foundation: 'honor'"):
         semantic_inference("the frog", FROG_FRAME, client)
 
 
 def test_semantic_inference_parse_failure_after_one_retry():
     client = _mock([("semantic", "frog", "no structure at all")])
-    with pytest.raises(ParseFailure) as excinfo:
+    with pytest.raises(RefineError, match="^reply lacks Premises:/Hypothesis: structure$"):
         semantic_inference("the frog", FROG_FRAME, client)
-    assert excinfo.value.raw == "no structure at all"
     assert len(client.requests) == 2  # one automatic re-ask
 
 
@@ -154,10 +151,13 @@ def test_autoformalize_scores_validated():
     assert all(0.0 < r.score <= 1.0 for r in rules)
 
 
-def test_autoformalize_empty_is_error():
+def test_autoformalize_unusable_reply_gives_no_rules_and_one_warning():
     client = _mock([("autoformalize", "neighbors", "nothing usable")])
-    with pytest.raises(AutoformalizationEmpty):
-        autoformalize([("f1", "neighbors are friends")], FROG_FRAME, client)
+    rules, warnings = autoformalize([("f1", "neighbors are friends")], FROG_FRAME, client)
+    assert rules == []
+    assert len(warnings) == 1
+    assert warnings[0].startswith("fact f1: dropped unparsable clause 'nothing usable'")
+    assert autoformalize([], FROG_FRAME, client) == ([], [])
 
 
 # -- abduction and deduction -----------------------------------------------------------
@@ -357,8 +357,24 @@ def test_strict_mock_miss_aborts_with_partial_trace(demo_store):
     seed = CaseSeed(id="frog", statement="the frog", frame=FROG_FRAME)
     with pytest.raises(RefineAborted) as excinfo:
         refine_loop(seed, RefineConfig(), client, demo_store)
-    assert isinstance(excinfo.value.cause, TranscriptMiss)
+    assert isinstance(excinfo.value.cause, ChatError)
+    assert str(excinfo.value.cause).startswith("no transcript entry for role 'abduce'")
     assert len(excinfo.value.trace.records) == 1  # iteration 0 was recorded
+
+
+def test_facts_without_rules_abort_the_loop(demo_store):
+    # autoformalize returns no rules without raising; the loop is what aborts.
+    client = _mock(
+        [
+            ("semantic", "frog", "Premises:\n1. Unhelpful fact.\nHypothesis: care"),
+            ("autoformalize", "Unhelpful", "nothing usable"),
+        ]
+    )
+    seed = CaseSeed(id="frog", statement="the frog", frame=FROG_FRAME)
+    with pytest.raises(RefineAborted, match="^refinement aborted: no formalized rules parsed from any fact$") as excinfo:
+        refine_loop(seed, RefineConfig(), client, demo_store)
+    assert excinfo.value.trace.records == ()
+    assert not excinfo.value.trace.valid
 
 
 def test_no_fabrication_in_strict_mode(demo_store):
