@@ -42,6 +42,8 @@ def shipped_commands(data: Path, work: Path, out: Path) -> list[tuple[str, list[
     (work / "number.json").write_text("5", "utf-8")
     (work / "cases.json").write_text('"cases"', "utf-8")
     (work / "directory").mkdir(exist_ok=True)
+    (work / "sub").mkdir(exist_ok=True)
+    (work / "sub" / "manifest.json").write_text(json.dumps({"cases": [frog]}), "utf-8")
     entries = json.loads(transcript.read_text("utf-8"))
     (work / "no_abduce.json").write_text(json.dumps([e for e in entries if e["role"] != "abduce"]), "utf-8")
 
@@ -53,6 +55,10 @@ def shipped_commands(data: Path, work: Path, out: Path) -> list[tuple[str, list[
         ("refine", ["refine", *prison, *mock, *vectors, "--out", str(out / "refine.trace.json")]),
         ("refine-json", ["refine", *prison, *mock, *vectors, "--json"]),
         ("refine-iterations-1", ["refine", *prison, *mock, *vectors, "--iterations", "1"]),
+        # --out is a path from the working directory (``work``), where
+        # ``directory/`` exists; ``sub/directory/`` does not.
+        ("corpus-out-from-working-directory",
+         ["corpus", "verify", str(work / "sub" / "manifest.json"), *vectors, "--out", "directory/report.json"]),
         # bad input: each ends in exit 1, 2 or 4 and one `error:` line
         ("error-bad-clause", ["parse", str(work / "bad.pl")]),
         ("error-bad-vectors", ["verify", frog, "--embeddings", str(work / "bad_vectors.txt")]),
@@ -65,6 +71,7 @@ def shipped_commands(data: Path, work: Path, out: Path) -> list[tuple[str, list[
         ("error-manifest-string", ["corpus", "verify", str(work / "cases.json")]),
         ("error-cache-without-embeddings", ["verify", frog, "--embeddings-cache", str(work / "x.spemb")]),
         ("error-limit-without-embeddings", ["verify", frog, "--limit", "5"]),
+        ("error-negative-limit", ["verify", frog, *vectors, "--limit", "-3"]),
         (
             "error-refine-abort",
             ["refine", *prison, "--mock", str(work / "no_abduce.json"), *vectors,

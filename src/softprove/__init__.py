@@ -9,10 +9,7 @@ from .logic import (
     KnowledgeBase,
     MoralViolation,
     Rule,
-    Substitution,
     Variable,
-    apply_substitution,
-    compose,
 )
 from .principles import load_principles
 from .prover import (

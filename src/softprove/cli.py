@@ -19,14 +19,16 @@ Each command takes only the flags it reads; every command takes ``--json``.
 - ``parse KB``: no other flag.
 - ``prove KB``: the vector and solver flags.
 - ``verify CASE`` and ``corpus verify MANIFEST [--out]``: the vector and
-  solver flags and ``--principles``.
+  solver flags and ``--principles``.  ``--out`` is a path from the working
+  directory; the manifest's own ``report`` key is read relative to the
+  manifest.
 - ``refine --case SEED``: those of ``verify``, plus ``--mock`` or ``--live``,
   ``--lenient-mock``, ``--iterations``, ``--temperature`` and ``--out``.
 - ``embeddings cache``: ``--embeddings``, ``--limit`` and ``--out`` (default
   ``<source>.spemb``).
 
 The vector flags are ``--embeddings``, ``--embeddings-cache`` and ``--limit``;
-the last two need the first.
+the last two need the first, and ``--limit`` must not be negative.
 The solver flags are the solver's three settings and no other:
 ``--unify-threshold``, ``--proof-threshold`` and ``--max-depth``.  Goal
 constants name SRL role slots and match by equality only, and every
@@ -83,6 +85,12 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
     return SolverConfig(**{name: value for name, value in values.items() if value is not None})
 
 
+def _limit(args: argparse.Namespace) -> Optional[int]:
+    if args.limit is not None and args.limit < 0:
+        raise ConfigError(f"--limit must be >= 0, got {args.limit}")
+    return args.limit
+
+
 def _store(args: argparse.Namespace) -> EmbeddingStore:
     path = args.embeddings
     if path is None:
@@ -90,8 +98,8 @@ def _store(args: argparse.Namespace) -> EmbeddingStore:
             raise ConfigError("--embeddings-cache and --limit need --embeddings <file>")
         return EmbeddingStore.empty()
     if args.embeddings_cache:
-        return load_embeddings_cached(path, args.embeddings_cache, limit=args.limit)
-    return load_embeddings(path, limit=args.limit)
+        return load_embeddings_cached(path, args.embeddings_cache, limit=_limit(args))
+    return load_embeddings(path, limit=_limit(args))
 
 
 def _write_trace(args: argparse.Namespace, trace: RefineTrace) -> None:
@@ -225,9 +233,14 @@ def cmd_corpus_verify(args: argparse.Namespace) -> int:
     payload = metrics_to_dict(report)
     payload["split"] = manifest.get("split")
     payload["failures"] = failures
-    destination = args.out or manifest.get("report")
+    if args.out:
+        destination = Path(args.out)
+    elif manifest.get("report"):
+        destination = base / manifest["report"]
+    else:
+        destination = None
     if destination:
-        (base / destination).write_text(json.dumps(payload, indent=2) + "\n", "utf-8")
+        destination.write_text(json.dumps(payload, indent=2) + "\n", "utf-8")
     _emit(args, render_metrics(report), payload)
     return EXIT_OK
 
@@ -237,7 +250,7 @@ def cmd_embeddings_cache(args: argparse.Namespace) -> int:
     if source is None:
         raise ConfigError("embeddings cache needs --embeddings <file>")
     cache = args.out or default_cache_path(source)
-    store = load_embeddings_cached(source, cache, limit=args.limit)
+    store = load_embeddings_cached(source, cache, limit=_limit(args))
     payload = {
         "source": str(source),
         "cache": str(cache),

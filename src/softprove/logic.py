@@ -1,4 +1,4 @@
-"""Core symbolic objects: terms, atoms, scored rules, goals, substitutions.
+"""Core symbolic objects: terms, atoms, scored rules and their slot templates, goals.
 
 The rule language is deliberately tiny: constants and variables only (no
 function symbols), predicates of arity 1..3, definite clauses carrying a
@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 VARIABLE_NAME = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 SYMBOL_NAME = re.compile(r"[a-z][a-z0-9_]*\Z")
@@ -118,6 +118,18 @@ def foundation_for_goal_predicate(predicate: str) -> MoralViolation:
     raise LogicError(f"goal predicate {predicate!r} names no known moral foundation")
 
 
+# A compiled argument: the slot number of a rule variable, or a constant.
+Slot = Union[int, Constant]
+
+
+class RuleTemplate(NamedTuple):
+    """A rule's arguments with its variables numbered ``0 .. size - 1``."""
+
+    size: int
+    head: tuple[Slot, ...]
+    body: tuple[tuple[Slot, ...], ...]
+
+
 @dataclass(frozen=True)
 class Rule:
     """A scored implication clause; an empty body makes it a fact.
@@ -125,6 +137,12 @@ class Rule:
     A score of exactly 1.0 marks a true fact; anything lower is a soft rule.
     ``fact_id`` names the explanation fact a formalized rule came from; it is
     None for principles and frame facts.
+
+    ``template`` is the rule compiled once for proof search: its variables
+    are numbered by first appearance, head first, and each argument of the
+    head and of every body atom becomes its variable's slot number or stays
+    a ``Constant``.  The search standardizes the rule apart by adding a frame
+    offset to the slot numbers, so no renamed copy of the rule is built.
     """
 
     head: Atom
@@ -132,6 +150,7 @@ class Rule:
     score: float
     id: str
     fact_id: Optional[str] = None
+    template: RuleTemplate = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "body", tuple(self.body))
@@ -141,6 +160,12 @@ class Rule:
             raise LogicError("rule id must be non-empty")
         if self.fact_id == "":
             raise LogicError("fact id must be non-empty when given")
+        slots: dict[str, int] = {}
+        head, *body = [
+            tuple([slots.setdefault(t.name, len(slots)) if isinstance(t, Variable) else t for t in a.args])
+            for a in (self.head, *self.body)
+        ]
+        object.__setattr__(self, "template", RuleTemplate(len(slots), head, tuple(body)))
 
 
 @dataclass(frozen=True)
@@ -180,69 +205,3 @@ class KnowledgeBase:
     def head_groups(self, arity: int) -> Mapping[str, Sequence[int]]:
         """Positions in ``rules`` of the heads of this arity, grouped by predicate."""
         return self._by_head.get(arity, {})
-
-
-class Substitution:
-    """Immutable variable-name -> term mapping with an occurs check.
-
-    With no function symbols the only self-containing binding possible is
-    ``X -> X``, which the constructor rejects.
-    """
-
-    __slots__ = ("_bindings",)
-
-    def __init__(self, bindings: Optional[Mapping[str, Term]] = None) -> None:
-        items = dict(bindings) if bindings else {}
-        for name, term in items.items():
-            if isinstance(term, Variable) and term.name == name:
-                raise LogicError(f"variable {name} would bind to itself")
-        self._bindings = items
-
-    def get(self, name: str) -> Optional[Term]:
-        return self._bindings.get(name)
-
-    def items(self) -> Iterator[tuple[str, Term]]:
-        return iter(self._bindings.items())
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._bindings
-
-    def __len__(self) -> int:
-        return len(self._bindings)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Substitution) and self._bindings == other._bindings
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}->{v}" for k, v in sorted(self._bindings.items()))
-        return f"{{{inner}}}"
-
-
-EMPTY_SUBSTITUTION = Substitution()
-
-
-def apply_term(theta: Substitution, term: Term) -> Term:
-    """Single-pass image of one term; unbound variables pass through."""
-    if isinstance(term, Variable):
-        bound = theta.get(term.name)
-        if bound is not None:
-            return bound
-    return term
-
-
-def apply_substitution(subject: Atom, theta: Substitution) -> Atom:
-    """Replace bound variables in one pass; no fixpoint chasing."""
-    if len(theta) == 0:
-        return subject
-    return Atom(subject.predicate, tuple(apply_term(theta, t) for t in subject.args))
-
-
-def compose(theta1: Substitution, theta2: Substitution) -> Substitution:
-    """Sequential composition: apply(compose(t1, t2), a) == apply(t2, apply(t1, a))."""
-    merged: dict[str, Term] = {}
-    for name, term in theta1.items():
-        merged[name] = apply_term(theta2, term)
-    for name, term in theta2.items():
-        if name not in merged:
-            merged[name] = term
-    return Substitution(merged)

@@ -35,29 +35,42 @@ A ``CandidateIndex`` maps each goal ``(predicate, arity)`` to the rules whose
 head can unify with it (same arity, predicate at or above the unify
 threshold), in knowledge-base order; it scores each head predicate once per
 goal key, not each rule once per subgoal.  Only those candidates are tried,
-in that order, and only those that pass the bound are renamed apart.
+in that order.
+
+Rules are standardized apart without copying them.  Each rule carries its
+``template`` (``logic.Rule``): its variables numbered from 0 by first
+appearance, head first.  A candidate that passes the bound gets a frame, the
+next block of ``template.size`` variable numbers, so its slot ``s`` is
+variable ``frame + s``; the goal's own variables are numbered -1, -2, ...
+During the search a term is a variable number or a ``Constant``, and θ is a
+dict from variable numbers to terms, each binding made to a term resolved
+at the time (so a lookup may have to follow a chain).  Atoms and variables
+are built only for the best proof, in ``_materialize``.  A goal variable
+that the proof leaves unbound keeps its name; frame variable ``k`` is named
+``V<n>`` for the ``k``-th ``n`` (from 0) whose name the goal does not use.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
 from .embeddings import EmbeddingStore, weak_unify_score
 from .logic import (
     Atom,
-    Constant,
-    EMPTY_SUBSTITUTION,
     GoalSpec,
     KnowledgeBase,
     MoralViolation,
     Rule,
-    Substitution,
-    Term,
+    Slot,
     Variable,
-    apply_substitution,
-    apply_term,
 )
+
+# θ during a search: variable number -> variable number or constant.  A
+# binding's value is the term as resolved when it was made, so a number may
+# lead through further bindings (``_resolve``).
+Bindings = dict[int, Slot]
 
 
 class ConfigError(ValueError):
@@ -128,62 +141,52 @@ def _head_score(a: Atom, b: Atom, store: EmbeddingStore, config: SolverConfig) -
     return score if score >= config.unify_threshold else None
 
 
+def _resolve(term: Slot, theta: Bindings) -> Slot:
+    """``term`` with its bindings under ``theta`` followed to the end."""
+    while isinstance(term, int):
+        bound = theta.get(term)
+        if bound is None:
+            break
+        term = bound
+    return term
+
+
 def weak_unify_atoms(
-    a: Atom,
-    b: Atom,
-    theta: Substitution,
-    store: EmbeddingStore,
-    config: SolverConfig,
-    score: Optional[float] = None,
-) -> Optional[tuple[Substitution, float]]:
-    """Unify goal atom ``a`` with rule head ``b`` under ``theta``.
+    goal: tuple[Slot, ...], head: Atom, slots: tuple[Slot, ...], frame: int, theta: Bindings
+) -> Optional[Bindings]:
+    """Unify a goal's arguments with rule head ``head`` standardized apart at
+    ``frame``, under ``theta``; None if they clash.
 
-    Heads pass by ``_head_score``; a caller that has already passed them
-    there gives its ``score`` and they are not scored again.  Arguments match
-    structurally, and constants by equality only, so the returned score is
-    the predicate score.
+    ``goal`` holds variable numbers and constants.  ``slots`` is the head's
+    compiled arguments (``rule.template.head``), so slot ``s`` is variable
+    ``frame + s``; ``head`` itself is passed so that a wrapper of this
+    function sees which rule is tried.  The predicates have already passed
+    ``_head_score``, which gives the unification its score; arguments match
+    structurally, and constants by equality only.  Where both sides are
+    variables, the head's is bound, so the goal's naming survives in output.
 
-    The new bindings are collected apart and merged into one new
-    substitution at the end; it equals composing ``theta`` with each binding
-    in turn.
+    Returns ``theta`` itself if nothing was bound, else a new dict with the
+    new bindings; ``theta`` is never changed.
     """
-    if score is None:
-        score = _head_score(a, b, store, config)
-        if score is None:
-            return None
-    new: dict[str, Term] = {}  # this unification's bindings, each kept fully applied
-    for raw_left, raw_right in zip(a.args, b.args):
-        left = apply_term(theta, raw_left)
-        right = apply_term(theta, raw_right)
-        if new:
-            if isinstance(left, Variable):
-                left = new.get(left.name, left)
-            if isinstance(right, Variable):
-                right = new.get(right.name, right)
-        if isinstance(left, Constant) and isinstance(right, Constant):
-            if left.symbol != right.symbol:
-                return None
-            continue
-        if isinstance(left, Variable) and isinstance(right, Variable):
-            if left.name == right.name:
+    bindings = theta
+    for left, right in zip(goal, slots):
+        left = _resolve(left, bindings)
+        if isinstance(right, int):
+            right = _resolve(frame + right, bindings)
+        if isinstance(right, int):
+            if left == right:
                 continue
-            # Bind the rule-side variable so goal naming survives in output.
-            name, term = right.name, left
-        elif isinstance(left, Variable):
-            name, term = left.name, right
+            variable, term = right, left
+        elif isinstance(left, int):
+            variable, term = left, right
+        elif left.symbol != right.symbol:
+            return None
         else:
-            name, term = right.name, left
-        for bound, value in new.items():
-            if isinstance(value, Variable) and value.name == name:
-                new[bound] = term
-        new[name] = term
-    if not new:
-        return theta, score
-    merged = {
-        name: new.get(term.name, term) if isinstance(term, Variable) else term for name, term in theta.items()
-    }
-    merged.update(new)
-    return Substitution(merged), score
+            continue
+        if bindings is theta:
+            bindings = dict(theta)
+        bindings[variable] = term
+    return bindings
 
 
 class CandidateIndex:
@@ -219,97 +222,95 @@ class CandidateIndex:
 
 
 # The goals above a subgoal on the current path, nearest first, as linked
-# ``(atom, rest)`` pairs ending in None; the atoms are not yet under θ.
-_Ancestors = Optional[tuple[Atom, "_Ancestors"]]
+# ``(atom, arguments, rest)`` triples ending in None; the atom gives the
+# predicate, the arguments are variable numbers and constants not under θ.
+_Ancestors = Optional[tuple[Atom, tuple[Slot, ...], "_Ancestors"]]
+
+# A proof tree during the search: (goal atom, goal arguments, rule id, unify
+# score, children).  The arguments are not under θ; ``_materialize`` builds
+# the ``ProofStep`` tree of the best proof from it.
+_Node = tuple[Atom, tuple[Slot, ...], str, float, tuple["_Node", ...]]
 
 
-def _repeats_ancestor(goal: Atom, theta: Substitution, ancestors: _Ancestors) -> bool:
-    """Whether ``goal`` under ``theta`` is identical to an ancestor under ``theta``.
+def _repeats_ancestor(goal: Atom, args: tuple[Slot, ...], theta: Bindings, ancestors: _Ancestors) -> bool:
+    """Whether the goal under ``theta`` is identical to an ancestor under ``theta``.
 
-    Only ancestors with the goal's predicate and arity have θ applied.
+    Only ancestors with the goal's predicate and arity are resolved.
     """
     while ancestors is not None:
-        above, ancestors = ancestors
+        above, above_args, ancestors = ancestors
         if above.predicate == goal.predicate and above.arity == goal.arity:
-            if all(apply_term(theta, a) == apply_term(theta, b) for a, b in zip(above.args, goal.args)):
+            if all(_resolve(a, theta) == _resolve(b, theta) for a, b in zip(above_args, args)):
                 return True
     return False
+
+
+def _rule_ids(node: _Node) -> list[str]:
+    """The rule id of every step of a proof tree, one per step."""
+    ids = []
+    stack = [node]
+    while stack:
+        _, _, rule_id, _, children = stack.pop()
+        ids.append(rule_id)
+        stack.extend(children)
+    return ids
 
 
 class _Search:
     def __init__(self, index: CandidateIndex) -> None:
         self.index = index
-        self.store = index.store
         self.config = index.config
-        self._fresh = 0
-        self._reserved = set()
+        self._next_frame = 0  # variable numbers given to frames so far
         # A candidate whose running product falls below this is skipped: the
         # proof threshold, raised by ``run`` to the best score found so far.
         self._bound = self.config.proof_threshold
 
-    def _fresh_variable(self) -> Variable:
-        while True:
-            name = f"V{self._fresh}"
-            self._fresh += 1
-            if name not in self._reserved:
-                return Variable(name)
-
-    def _rename(self, rule: Rule) -> tuple[Atom, tuple[Atom, ...]]:
-        mapping: dict[str, Variable] = {}
-
-        def fresh(term: Term) -> Term:
-            if isinstance(term, Variable):
-                if term.name not in mapping:
-                    mapping[term.name] = self._fresh_variable()
-                return mapping[term.name]
-            return term
-
-        head = Atom(rule.head.predicate, tuple(fresh(t) for t in rule.head.args))
-        body = tuple(Atom(a.predicate, tuple(fresh(t) for t in a.args)) for a in rule.body)
-        return head, body
-
     def solve(
-        self, goal_atom: Atom, theta: Substitution, depth: int, running: float, ancestors: _Ancestors
-    ) -> Iterator[tuple[Substitution, ProofStep, float]]:
-        """Yield (θ, proof tree, running score); tree goals are not yet under θ."""
-        if depth > self.config.max_depth or _repeats_ancestor(goal_atom, theta, ancestors):
+        self, goal: Atom, args: tuple[Slot, ...], theta: Bindings, depth: int, running: float, ancestors: _Ancestors
+    ) -> Iterator[tuple[Bindings, _Node, float]]:
+        """Yield (θ, proof tree, running score) for the goal ``goal`` whose
+        arguments are ``args``."""
+        if depth > self.config.max_depth or _repeats_ancestor(goal, args, theta, ancestors):
             return
-        lineage = (goal_atom, ancestors)
-        for rule, score in self.index.candidates(goal_atom):
+        lineage = (goal, args, ancestors)
+        for rule, score in self.index.candidates(goal):
             running1 = running * (score * rule.score)
             if running1 < self._bound:
                 continue
-            head, body = self._rename(rule)
-            unified = weak_unify_atoms(goal_atom, head, theta, self.store, self.config, score=score)
-            if unified is None:
+            frame = self._next_frame
+            self._next_frame += rule.template.size
+            theta1 = weak_unify_atoms(args, rule.head, rule.template.head, frame, theta)
+            if theta1 is None:
                 continue
-            theta1, unify = unified
-            for theta2, children, running2 in self._solve_body(body, theta1, depth, running1, lineage):
-                yield theta2, ProofStep(goal_atom, rule.id, unify, children), running2
+            for theta2, children, running2 in self._solve_body(rule, frame, 0, theta1, depth, running1, lineage):
+                yield theta2, (goal, args, rule.id, score, children), running2
 
     def _solve_body(
-        self, atoms: tuple[Atom, ...], theta: Substitution, depth: int, running: float, ancestors: _Ancestors
-    ) -> Iterator[tuple[Substitution, tuple[ProofStep, ...], float]]:
-        if not atoms:
+        self, rule: Rule, frame: int, position: int, theta: Bindings, depth: int, running: float, ancestors: _Ancestors
+    ) -> Iterator[tuple[Bindings, tuple[_Node, ...], float]]:
+        """Prove ``rule``'s body atoms from ``position`` on, its slots at ``frame``."""
+        if position == len(rule.body):
             yield theta, (), running
             return
-        first, rest = atoms[0], atoms[1:]
-        for theta1, node, running1 in self.solve(first, theta, depth + 1, running, ancestors):
-            for theta2, tail, running2 in self._solve_body(rest, theta1, depth, running1, ancestors):
+        args = tuple([s + frame if isinstance(s, int) else s for s in rule.template.body[position]])
+        for theta1, node, running1 in self.solve(rule.body[position], args, theta, depth + 1, running, ancestors):
+            rest = self._solve_body(rule, frame, position + 1, theta1, depth, running1, ancestors)
+            for theta2, tail, running2 in rest:
                 yield theta2, (node,) + tail, running2
 
     def run(self, spec: GoalSpec) -> Optional[ProofResult]:
-        self._reserved = {v.name for v in spec.goal_atom.variables()}
+        goal_variables = list(dict.fromkeys(spec.goal_atom.variables()))
+        args = tuple(-1 - goal_variables.index(t) if isinstance(t, Variable) else t for t in spec.goal_atom.args)
         best = None  # (ranking key, tree, θ); the smallest key wins, the first on a tie
         complete = 0
         truncated = False
-        for theta, node, score in self.solve(spec.goal_atom, EMPTY_SUBSTITUTION, 1, 1.0, None):
+        for theta, node, score in self.solve(spec.goal_atom, args, {}, 1, 1.0, None):
             complete += 1
             if complete > MAX_PROOFS_PER_GOAL:
                 truncated = True
                 break
-            steps = list(node.walk())
-            key = (-score, len(steps), tuple(sorted({step.rule_id for step in steps})))
+            rule_ids = _rule_ids(node)
+            key = (-score, len(rule_ids), tuple(sorted(set(rule_ids))))
             if best is None or key < best[0]:
                 best = (key, node, theta)
                 self._bound = score  # a branch below the best score can only end in a worse key
@@ -318,19 +319,52 @@ class _Search:
         (neg_score, _, rule_ids), node, theta = best
         return ProofResult(
             violation=spec.violation,
-            proof=self._materialize(node, theta),
+            proof=_materialize(node, theta, goal_variables),
             proof_score=-neg_score,
             used_rule_ids=frozenset(rule_ids),
             budget_exceeded=truncated,
         )
 
-    def _materialize(self, node: ProofStep, theta: Substitution) -> ProofStep:
+
+# The names ``_materialize`` gives frame variables: ``V`` and a number.
+_FRESH_NAME = re.compile(r"V(0|[1-9][0-9]*)\Z")
+
+
+def _materialize(node: _Node, theta: Bindings, goal_variables: Sequence[Variable]) -> ProofStep:
+    """The ``ProofStep`` tree of a proof, its goals under ``theta``.
+
+    Goal variable ``-1 - i`` is ``goal_variables[i]``.  Frame variable ``k``,
+    if the proof leaves it unbound, is named ``V<n>`` for the ``k``-th
+    ``n`` (from 0) whose name is not one of the goal's own variables.
+    """
+    taken = sorted(int(m.group(1)) for v in goal_variables if (m := _FRESH_NAME.match(v.name)))
+    fresh: dict[int, Variable] = {}
+
+    def term(slot: Slot):
+        slot = _resolve(slot, theta)
+        if not isinstance(slot, int):
+            return slot
+        if slot < 0:
+            return goal_variables[-1 - slot]
+        variable = fresh.get(slot)
+        if variable is None:
+            n = slot
+            for number in taken:
+                if number <= n:
+                    n += 1
+            variable = fresh[slot] = Variable(f"V{n}")
+        return variable
+
+    def build(node: _Node) -> ProofStep:
+        goal, args, rule_id, score, children = node
         return ProofStep(
-            goal_atom=apply_substitution(node.goal_atom, theta),
-            rule_id=node.rule_id,
-            unification_score=node.unification_score,
-            children=tuple(self._materialize(child, theta) for child in node.children),
+            goal_atom=Atom(goal.predicate, tuple(term(a) for a in args)),
+            rule_id=rule_id,
+            unification_score=score,
+            children=tuple(build(child) for child in children),
         )
+
+    return build(node)
 
 
 def prove_goal(

@@ -1,5 +1,6 @@
-"""Shared test machinery: an independent exhaustive proof enumerator and
-seeded random generators for knowledge bases and rule documents.
+"""Shared test machinery: an independent exhaustive proof enumerator, the
+named substitutions and renaming that the search's numbered ones are checked
+against, and seeded random generators for knowledge bases and rule documents.
 
 The oracle re-implements proof enumeration from scratch (plain dicts, an
 explicit stack, no pruning, no candidate ranking) so the solver's best proof
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -21,13 +22,101 @@ from softprove.logic import (
     Constant,
     GoalSpec,
     KnowledgeBase,
+    LogicError,
     MoralViolation,
     Rule,
+    Term,
     Variable,
 )
 from softprove.ruleparse import RuleDocument
 
 PairScore = Callable[[str, str], float]
+
+
+# -- reference substitutions and renaming -----------------------------------------
+
+
+class Substitution:
+    """Immutable variable-name -> term mapping with an occurs check.
+
+    With no function symbols the only self-containing binding possible is
+    ``X -> X``, which the constructor rejects.
+    """
+
+    __slots__ = ("_bindings",)
+
+    def __init__(self, bindings: Optional[Mapping[str, Term]] = None) -> None:
+        items = dict(bindings) if bindings else {}
+        for name, term in items.items():
+            if isinstance(term, Variable) and term.name == name:
+                raise LogicError(f"variable {name} would bind to itself")
+        self._bindings = items
+
+    def get(self, name: str) -> Optional[Term]:
+        return self._bindings.get(name)
+
+    def items(self) -> Iterator[tuple[str, Term]]:
+        return iter(self._bindings.items())
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._bindings
+
+    def __len__(self) -> int:
+        return len(self._bindings)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Substitution) and self._bindings == other._bindings
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{k}->{v}" for k, v in sorted(self._bindings.items()))
+        return f"{{{inner}}}"
+
+
+EMPTY_SUBSTITUTION = Substitution()
+
+
+def apply_term(theta: Substitution, term: Term) -> Term:
+    """Single-pass image of one term; unbound variables pass through."""
+    if isinstance(term, Variable):
+        bound = theta.get(term.name)
+        if bound is not None:
+            return bound
+    return term
+
+
+def apply_substitution(subject: Atom, theta: Substitution) -> Atom:
+    """Replace bound variables in one pass; no fixpoint chasing."""
+    if len(theta) == 0:
+        return subject
+    return Atom(subject.predicate, tuple(apply_term(theta, t) for t in subject.args))
+
+
+def compose(theta1: Substitution, theta2: Substitution) -> Substitution:
+    """Sequential composition: apply(compose(t1, t2), a) == apply(t2, apply(t1, a))."""
+    merged: dict[str, Term] = {}
+    for name, term in theta1.items():
+        merged[name] = apply_term(theta2, term)
+    for name, term in theta2.items():
+        if name not in merged:
+            merged[name] = term
+    return Substitution(merged)
+
+
+def rename_apart(rule: Rule, fresh_name: Callable[[], str]) -> tuple[Atom, tuple[Atom, ...]]:
+    """``rule``'s head and body with each of its variables replaced by a new
+    one named by ``fresh_name()``, taken by first appearance, head first."""
+    mapping: dict[str, Variable] = {}
+
+    def term(t: Term) -> Term:
+        if isinstance(t, Variable):
+            if t.name not in mapping:
+                mapping[t.name] = Variable(fresh_name())
+            return mapping[t.name]
+        return t
+
+    head = Atom(rule.head.predicate, tuple(term(t) for t in rule.head.args))
+    body = tuple(Atom(a.predicate, tuple(term(t) for t in a.args)) for a in rule.body)
+    return head, body
 
 
 def exact_pair_score(a: str, b: str) -> float:
@@ -75,19 +164,8 @@ def oracle_proofs(
     """
     fresh = itertools.count()
 
-    def rename(rule: Rule) -> tuple[Atom, list[Atom]]:
-        mapping: dict[str, Variable] = {}
-
-        def term(t):
-            if isinstance(t, Variable):
-                if t.name not in mapping:
-                    mapping[t.name] = Variable(f"OR{next(fresh)}")
-                return mapping[t.name]
-            return t
-
-        head = Atom(rule.head.predicate, tuple(term(t) for t in rule.head.args))
-        body = [Atom(a.predicate, tuple(term(t) for t in a.args)) for a in rule.body]
-        return head, body
+    def fresh_name() -> str:
+        return f"OR{next(fresh)}"
 
     def walk(theta: dict, term):
         while isinstance(term, Variable) and term.name in theta:
@@ -126,7 +204,7 @@ def oracle_proofs(
         for rule in kb.rules:
             if rule.head.arity != atom.arity:
                 continue
-            head, body = rename(rule)
+            head, body = rename_apart(rule, fresh_name)
             unified = unify(atom, head, theta)
             if unified is None:
                 continue

@@ -272,6 +272,32 @@ def test_corpus_verify_percentages(tmp_path, capsys):
     assert (tmp_path / "report.json").exists()
 
 
+def test_corpus_verify_out_is_relative_to_the_working_directory(tmp_path, capsys, monkeypatch):
+    (tmp_path / "sub").mkdir()
+    _write_corpus(tmp_path / "sub")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = _run(
+        capsys, "corpus", "verify", "sub/manifest.json", "--out", "r.json",
+        "--embeddings", data_path("demo_vectors.txt"), "--json",
+    )
+    assert code == 0
+    assert json.loads((tmp_path / "r.json").read_text()) == json.loads(out)
+    assert not (tmp_path / "sub" / "r.json").exists()
+    assert not (tmp_path / "sub" / "report.json").exists()  # --out replaces the manifest's report
+
+
+def test_corpus_verify_report_key_is_relative_to_the_manifest(tmp_path, capsys, monkeypatch):
+    (tmp_path / "sub").mkdir()
+    _write_corpus(tmp_path / "sub")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = _run(
+        capsys, "corpus", "verify", "sub/manifest.json", "--embeddings", data_path("demo_vectors.txt"), "--json"
+    )
+    assert code == 0
+    assert json.loads((tmp_path / "sub" / "report.json").read_text()) == json.loads(out)
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_corpus_verify_empty_manifest(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"cases": []}))
@@ -394,6 +420,14 @@ def _bad_input(tmp_path, name: str, text: str) -> str:
         pytest.param(["corpus", "verify", "{manifest_string}"], 1, "manifest needs a `cases` list", id="manifest-string"),
         pytest.param(["verify", "{frog}", "--embeddings-cache", "{dir}/x.spemb"], 2, "need --embeddings", id="cache-alone"),
         pytest.param(["verify", "{frog}", "--limit", "5"], 2, "need --embeddings", id="limit-alone"),
+        pytest.param(
+            ["verify", "{frog}", "--embeddings", "{vectors}", "--limit", "-3"], 2, "--limit must be >= 0, got -3",
+            id="negative-limit",
+        ),
+        pytest.param(
+            ["embeddings", "cache", "--embeddings", "{vectors}", "--limit", "-3", "--out", "{dir}/x.spemb"],
+            2, "--limit must be >= 0, got -3", id="cache-negative-limit",
+        ),
         pytest.param(["parse", "{bad_clause}"], 1, "line 1, column 14: expected ')'", id="bad-clause"),
         pytest.param(["verify", "{frog}", "--embeddings", "{bad_vectors}"], 1, "line 2: expected 2 components, got 1", id="bad-vector-line"),
     ],
@@ -402,6 +436,7 @@ def test_exit_code_contract(tmp_path, capsys, argv, code, message):
     paths = {
         "dir": str(tmp_path),
         "frog": data_path("cases/frog.json"),
+        "vectors": data_path("demo_vectors.txt"),
         "manifest_number": _bad_input(tmp_path, "number.json", "5"),
         "manifest_string": _bad_input(tmp_path, "string.json", '"cases"'),
         "bad_clause": _bad_input(tmp_path, "bad.pl", "broken(clause"),

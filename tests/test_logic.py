@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -7,20 +8,26 @@ from hypothesis import strategies as st
 from softprove.logic import (
     Atom,
     Constant,
-    EMPTY_SUBSTITUTION,
     KnowledgeBase,
     LogicError,
     MoralViolation,
     Rule,
-    Substitution,
     Variable,
-    apply_substitution,
     atom,
-    compose,
     foundation_for_goal_predicate,
 )
 from softprove.principles import load_principles
 from softprove.ruleparse import parse_rule, serialize
+from genutil import (
+    EMPTY_SUBSTITUTION,
+    Substitution,
+    apply_substitution,
+    compose,
+    random_document,
+    random_layered_kb,
+    rename_apart,
+    with_definitional_cycles,
+)
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 a, b = Constant("a"), Constant("b")
@@ -68,7 +75,56 @@ def test_kb_rejects_duplicate_ids():
         KnowledgeBase((rule, rule))
 
 
+# -- rule templates ----------------------------------------------------------------
+
+
+def _instantiate(rule: Rule, frame: int) -> tuple[Atom, tuple[Atom, ...]]:
+    """The template at ``frame``, slot ``s`` named ``V<frame + s>``."""
+    template = rule.template
+
+    def args(slots):
+        return tuple(Variable(f"V{frame + s}") if isinstance(s, int) else s for s in slots)
+
+    head = Atom(rule.head.predicate, args(template.head))
+    return head, tuple(Atom(a.predicate, args(slots)) for a, slots in zip(rule.body, template.body))
+
+
+def test_template_at_a_frame_equals_renaming_apart():
+    # Random documents repeat variables within and across atoms and mix in
+    # constants; the layered KBs and their cycles are what the search meets.
+    rng = random.Random(12)
+    rules = []
+    for _ in range(200):
+        rules.extend(random_document(rng).rules)
+        kb, _, _ = random_layered_kb(rng)
+        rules.extend(with_definitional_cycles(rng, kb).rules)
+    assert len(rules) > 1000
+    for rule in rules:
+        frame = rng.randint(0, 500)
+        fresh = itertools.count(frame)
+        assert _instantiate(rule, frame) == rename_apart(rule, lambda: f"V{next(fresh)}")
+        distinct = {v.name for a in (rule.head,) + rule.body for v in a.variables()}
+        assert rule.template.size == len(distinct)
+        assert next(fresh) == frame + rule.template.size
+
+
+def test_template_numbers_variables_head_first():
+    rule = parse_rule("p(Y,a) :- q(X,Y), r(Z,X,b).")
+    assert rule.template == (3, (0, a), ((1, 0), (2, 1, b)))
+    assert parse_rule("p(a).").template == (0, (a,), ())
+
+
+def test_template_is_not_part_of_rule_equality_or_repr():
+    rule = parse_rule("p(X) :- q(X).", rule_id="r0")
+    same = Rule(rule.head, rule.body, rule.score, rule.id)
+    assert same == rule and hash(same) == hash(rule)
+    assert "template" not in repr(rule)
+
+
 # -- substitutions ---------------------------------------------------------------
+# The search keeps θ as numbered bindings (``prover.weak_unify_atoms``); these
+# check the named substitutions of ``genutil``, the reference its unifier is
+# checked against in ``test_prover.py``.
 
 
 def test_apply_empty_substitution_is_identity():

@@ -14,16 +14,12 @@ from softprove.embeddings import EmbeddingStore
 from softprove.logic import (
     Atom,
     Constant,
-    EMPTY_SUBSTITUTION,
     GoalSpec,
     KnowledgeBase,
     MoralViolation,
     Rule,
-    Substitution,
     Variable,
-    apply_term,
     atom,
-    compose,
 )
 from softprove.ruleparse import parse_rule
 from softprove.prover import (
@@ -39,6 +35,10 @@ from softprove.prover import (
     weak_unify_atoms,
 )
 from genutil import (
+    EMPTY_SUBSTITUTION,
+    Substitution,
+    apply_term,
+    compose,
     cosine_pair_table,
     exact_pair_score,
     oracle_best,
@@ -73,10 +73,40 @@ def test_config_validation():
 # -- atom unification -------------------------------------------------------------
 
 
+def _unify(goal: Atom, head: Atom, theta: Substitution, store: EmbeddingStore, config: SolverConfig):
+    """The search's two steps on named atoms: ``_head_score`` passes the
+    heads, then ``weak_unify_atoms`` unifies the arguments.
+
+    The goal's and the head's variables share one numbering (head frame 0),
+    so a name on both sides is one variable, and the named ``theta`` goes in
+    as numbered bindings.  Returns ``(θ, score)`` with θ as a named
+    substitution, each variable bound to the end of its chain, or None.
+    """
+    score = _head_score(goal, head, store, config)
+    if score is None:
+        return None
+    numbers: dict[str, int] = {}
+
+    def number(term):
+        return numbers.setdefault(term.name, len(numbers)) if isinstance(term, Variable) else term
+
+    bindings = {number(Variable(name)): number(term) for name, term in theta.items()}
+    goal_args = tuple(number(t) for t in goal.args)
+    unified = weak_unify_atoms(goal_args, head, tuple(number(t) for t in head.args), 0, bindings)
+    if unified is None:
+        return None
+    names = {n: Variable(name) for name, n in numbers.items()}
+
+    def resolved(term):
+        while isinstance(term, int) and term in unified:
+            term = unified[term]
+        return names[term] if isinstance(term, int) else term
+
+    return Substitution({names[n].name: resolved(n) for n in unified}), score
+
+
 def test_unify_identical_predicate_binds_variable():
-    result = weak_unify_atoms(
-        atom("animal", "the_frog"), atom("animal", "X"), EMPTY_SUBSTITUTION, EMPTY_STORE, SolverConfig()
-    )
+    result = _unify(atom("animal", "the_frog"), atom("animal", "X"), EMPTY_SUBSTITUTION, EMPTY_STORE, SolverConfig())
     assert result is not None
     theta, score = result
     assert score == 1.0
@@ -84,7 +114,7 @@ def test_unify_identical_predicate_binds_variable():
 
 
 def test_unify_weak_predicates(demo_store):
-    result = weak_unify_atoms(
+    result = _unify(
         atom("physical_harm", "action"),
         atom("pushing_force", "X"),
         EMPTY_SUBSTITUTION,
@@ -99,7 +129,7 @@ def test_unify_weak_predicates(demo_store):
 
 def test_unify_below_threshold_fails(demo_store):
     assert (
-        weak_unify_atoms(
+        _unify(
             atom("physical_harm", "action"),
             atom("animal", "X"),
             EMPTY_SUBSTITUTION,
@@ -111,10 +141,7 @@ def test_unify_below_threshold_fails(demo_store):
 
 
 def test_unify_arity_mismatch():
-    assert (
-        weak_unify_atoms(atom("p", "a"), atom("q", "a", "b"), EMPTY_SUBSTITUTION, EMPTY_STORE, SolverConfig())
-        is None
-    )
+    assert _unify(atom("p", "a"), atom("q", "a", "b"), EMPTY_SUBSTITUTION, EMPTY_STORE, SolverConfig()) is None
 
 
 def test_unify_constant_equality_is_strict_by_default(demo_store):
@@ -122,21 +149,30 @@ def test_unify_constant_equality_is_strict_by_default(demo_store):
 
     # Similar enough to unify as predicates, but constants match by equality only.
     assert weak_unify_score(demo_store, "the_frog", "frog") >= SolverConfig().unify_threshold
-    assert (
-        weak_unify_atoms(
-            atom("animal", "the_frog"), atom("animal", "frog"), EMPTY_SUBSTITUTION, demo_store, SolverConfig()
-        )
-        is None
-    )
+    assert _head_score(atom("animal", "the_frog"), atom("animal", "frog"), demo_store, SolverConfig()) == 1.0
+    assert weak_unify_atoms((Constant("the_frog"),), atom("animal", "frog"), (Constant("frog"),), 0, {}) is None
 
 
 def test_unify_respects_existing_bindings():
     theta = Substitution({"X": Constant("a")})
-    assert (
-        weak_unify_atoms(atom("p", "X"), atom("p", "b"), theta, EMPTY_STORE, SolverConfig()) is None
-    )
-    ok = weak_unify_atoms(atom("p", "X"), atom("p", "a"), theta, EMPTY_STORE, SolverConfig())
+    assert _unify(atom("p", "X"), atom("p", "b"), theta, EMPTY_STORE, SolverConfig()) is None
+    ok = _unify(atom("p", "X"), atom("p", "a"), theta, EMPTY_STORE, SolverConfig())
     assert ok is not None and ok[0] == theta
+
+
+def test_unify_follows_chains_and_leaves_theta_unchanged():
+    # θ binds 3 -> 2 -> 1 -> 0, as the search leaves bindings: each made to
+    # the term resolved when it was made.  The head slot 0 at frame 5 is
+    # variable 5; the goal's 3 resolves to 0, so 5 is bound to 0.
+    theta = {1: 0, 2: 1, 3: 2}
+    head = atom("p", "X", "X")
+    got = weak_unify_atoms((3, 0), head, (0, 0), 5, theta)
+    assert got == {1: 0, 2: 1, 3: 2, 5: 0}
+    assert theta == {1: 0, 2: 1, 3: 2}
+    a = Constant("a")
+    theta[0] = a
+    assert weak_unify_atoms((3, a), atom("p", "a", "a"), (a, a), 5, theta) is theta  # nothing new to bind
+    assert weak_unify_atoms((3, Constant("b")), head, (0, 0), 5, theta) is None  # 5 -> a, then a meets b
 
 
 def _unify_by_composing(a: Atom, b: Atom, theta: Substitution):
@@ -172,7 +208,7 @@ def test_unify_equals_composing_each_binding():
         goal = Atom("p", tuple(rng.choice(terms) for _ in range(arity)))
         head = Atom("p", tuple(rng.choice(terms) for _ in range(arity)))
         expected = _unify_by_composing(goal, head, theta)
-        got = weak_unify_atoms(goal, head, theta, EMPTY_STORE, SolverConfig())
+        got = _unify(goal, head, theta, EMPTY_STORE, SolverConfig())
         assert (got and got[0]) == expected
         if expected is not None:
             assert got[1] == 1.0
@@ -538,6 +574,29 @@ def test_render_is_stable_under_unrelated_rules():
     plain = render_proof(prove_goal(kb, kb.goals[0], EMPTY_STORE, SolverConfig()))
     assert "r(V2) <= r2" in plain
     assert render_proof(prove_goal(widened, widened.goals[0], EMPTY_STORE, SolverConfig())) == plain
+
+
+def test_fresh_names_skip_the_goals_own_variable_names():
+    # Frame variables are named V0, V1, ... in the order their frames were
+    # reserved, skipping the goal's own names.  With V0 and V2 in the goal,
+    # r0's X, Y and Z are V1, V3 and V4; X and Y bind to the goal's variables
+    # and Z stays unbound.  V01 is not a name a frame variable takes, so it
+    # skips nothing.
+    kb = _kb("violate_care_physical(X,Y) :- q(X), r(Z).", "q(action).", "r(W).")
+
+    def rendered(*names: str) -> list[str]:
+        goal = GoalSpec(MoralViolation.CARE, atom("violate_care_physical", *names))
+        return render_proof(prove_goal(kb, goal, EMPTY_STORE, SolverConfig())).splitlines()[1:]
+
+    assert rendered("V0", "V2") == [
+        "  violate_care_physical(action,V2) <= r0  [unify 1.00000]",
+        "    q(action) <= r1  [unify 1.00000]",
+        "    r(V4) <= r2  [unify 1.00000]",
+    ]
+    assert rendered("V01", "V1")[0::2] == [
+        "  violate_care_physical(action,V1) <= r0  [unify 1.00000]",
+        "    r(V3) <= r2  [unify 1.00000]",
+    ]
 
 
 def test_proof_to_dict_shape():
