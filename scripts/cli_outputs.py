@@ -38,6 +38,8 @@ def shipped_commands(data: Path, work: Path, out: Path) -> list[tuple[str, list[
     mock = ["--mock", str(transcript)]
 
     (work / "bad.pl").write_text("broken(clause", "utf-8")
+    (work / "bad_lines.pl").write_text("a(x).\nb(X) :-\n  c(X,\n  :- d(X).\ne(y).\nf(z) g(w).\nh(q).", "utf-8")
+    (work / "bad_term.pl").write_text("a(.b).", "utf-8")
     (work / "bad_vectors.txt").write_text("cat 1.0 zero 0.0\n", "utf-8")
     (work / "number.json").write_text("5", "utf-8")
     (work / "cases.json").write_text('"cases"', "utf-8")
@@ -61,6 +63,8 @@ def shipped_commands(data: Path, work: Path, out: Path) -> list[tuple[str, list[
          ["corpus", "verify", str(work / "sub" / "manifest.json"), *vectors, "--out", "directory/report.json"]),
         # bad input: each ends in exit 1, 2 or 4 and one `error:` line
         ("error-bad-clause", ["parse", str(work / "bad.pl")]),
+        ("error-clause-positions", ["parse", str(work / "bad_lines.pl")]),
+        ("error-recovery-after-bad-term", ["parse", str(work / "bad_term.pl")]),
         ("error-bad-vectors", ["verify", frog, "--embeddings", str(work / "bad_vectors.txt")]),
         ("error-missing-file", ["parse", str(work / "missing.pl")]),
         ("error-case-not-object", ["verify", str(work / "number.json")]),

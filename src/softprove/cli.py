@@ -75,10 +75,6 @@ EXIT_NO_PROOF = 3
 EXIT_CLIENT = 4
 
 
-class InputError(ValueError):
-    pass
-
-
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
     """The solver flags that are set; ``SolverConfig`` supplies the rest."""
     values = {f.name: getattr(args, f.name) for f in fields(SolverConfig)}
@@ -170,10 +166,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_refine(args: argparse.Namespace) -> int:
     doc = json.loads(Path(args.case).read_text("utf-8"))
     if not isinstance(doc, dict):
-        raise InputError(f"{args.case}: seed file must be a JSON object")
+        raise ValueError(f"{args.case}: seed file must be a JSON object")
     for key in ("id", "statement", "frame"):
         if key not in doc:
-            raise InputError(f"{args.case}: seed file missing key {key!r}")
+            raise ValueError(f"{args.case}: seed file missing key {key!r}")
     seed = CaseSeed(
         id=doc["id"],
         statement=doc["statement"],
@@ -212,7 +208,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
 def cmd_corpus_verify(args: argparse.Namespace) -> int:
     manifest = json.loads(Path(args.manifest).read_text("utf-8"))
     if not isinstance(manifest, dict) or not isinstance(manifest.get("cases"), list):
-        raise InputError(f"{args.manifest}: manifest needs a `cases` list")
+        raise ValueError(f"{args.manifest}: manifest needs a `cases` list")
     base = Path(args.manifest).parent
     principle_doc = load_principles(args.principles)
     store = _store(args)

@@ -87,15 +87,10 @@ def parse_premises(reply: str) -> list[str]:
     return premises
 
 
-def parse_hypothesis(reply: str, require_marker: bool = False) -> MoralViolation:
+def parse_hypothesis(reply: str) -> MoralViolation:
     """The single foundation named by the reply's hypothesis text."""
     marker = _HYPOTHESIS_LINE.search(reply)
-    if marker is not None:
-        candidate = marker.group(1)
-    elif require_marker:
-        raise RefineError("reply lacks a Hypothesis: line")
-    else:
-        candidate = reply
+    candidate = reply if marker is None else marker.group(1)
     words = set(_WORD.findall(candidate.lower()))
     named = [v for v in MoralViolation if v.value in words]
     if len(named) != 1:
@@ -134,16 +129,13 @@ def semantic_inference(
     )
     tagged = params.tagged(PromptRole.SEMANTIC.value)
     reply = client.complete(messages, tagged)
-    for attempt in (0, 1):
+    premises = parse_premises(reply)
+    if not premises or _HYPOTHESIS_LINE.search(reply) is None:
+        reply = client.complete(messages, tagged)
         premises = parse_premises(reply)
-        marker = _HYPOTHESIS_LINE.search(reply)
-        if premises and marker is not None:
-            break
-        if attempt == 0:
-            reply = client.complete(messages, tagged)
-    else:
-        raise RefineError("reply lacks Premises:/Hypothesis: structure")
-    hypothesis = parse_hypothesis(reply, require_marker=True)
+        if not premises or _HYPOTHESIS_LINE.search(reply) is None:
+            raise RefineError("reply lacks Premises:/Hypothesis: structure")
+    hypothesis = parse_hypothesis(reply)
     facts = [(f"f{i}", text) for i, text in enumerate(premises, start=1)]
     return facts, hypothesis
 
@@ -421,11 +413,11 @@ def _iterate(
 
         if outcome.valid:
             if outcome.kind is OutcomeKind.VALID_REDUNDANT:
-                used = facts_in_proof(outcome.proof, kb)
-                pruned = tuple(fid for fid, _ in facts if fid not in used)
+                unused = outcome.unused_fact_ids
+                pruned = tuple(fid for fid, _ in facts if fid in unused)
                 record = replace(record, pruned_fact_ids=pruned)
                 records.append(record)
-                facts = tuple((fid, t) for fid, t in facts if fid in used)
+                facts = tuple((fid, t) for fid, t in facts if fid not in unused)
                 if not confirming and iteration < config.max_iterations:
                     # One confirmation pass so the trace shows the pruned state.
                     confirming = True

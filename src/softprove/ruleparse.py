@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 from .logic import (
     MAX_ARITY,
@@ -33,17 +33,17 @@ from .logic import (
     foundation_for_goal_predicate,
 )
 
+T = TypeVar("T")
+
 
 class RuleSyntaxError(ValueError):
     """Malformed clause text; carries a 1-based source position."""
 
-    def __init__(self, line: int, column: int, expected: str, found: str = "") -> None:
-        self.line = line
-        self.column = column
-        self.expected = expected
-        self.found = found
-        detail = f", found {found}" if found else ""
-        super().__init__(f"line {line}, column {column}: expected {expected}{detail}")
+    def __init__(self, text: str, offset: int, message: str) -> None:
+        self.offset = offset
+        self.line = text.count("\n", 0, offset) + 1
+        self.column = offset - text.rfind("\n", 0, offset)
+        super().__init__(f"line {self.line}, column {self.column}: {message}")
 
 
 class KbParseError(ValueError):
@@ -62,122 +62,102 @@ class RuleDocument:
     goal_decls: tuple[GoalSpec, ...] = ()
 
 
+# Whitespace and comments are unnamed, so they match without a token kind;
+# ``bad`` takes any character that starts no token.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>%[^\n]*)
+    [ \t\r\n]+
+  | %[^\n]*
   | (?P<implies>:-)
   | (?P<goalarrow><-)
   | (?P<decimal>[0-9]+(?:\.[0-9]+)?)
   | (?P<symbol>[a-z][a-z0-9_]*)
   | (?P<variable>[A-Z][A-Za-z0-9_]*)
   | (?P<punct>[().,|=])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise RuleSyntaxError(line, col, "a token", repr(text[pos]))
-        kind = m.lastgroup or ""
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
-
-
 class _Parser:
-    def __init__(self, tokens: list[_Token]) -> None:
-        self.tokens = tokens
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.tokens: list[tuple[str, str, int]] = [  # (kind, text, offset)
+            (m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text) if m.lastgroup
+        ]
+        for tok in self.tokens:
+            if tok[0] == "bad":
+                raise self.error(tok, "a token")
+        self.tokens.append(("eof", "", len(text)))
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def error(self, tok: tuple[str, str, int], expected: str, found: Optional[str] = None) -> RuleSyntaxError:
+        if found is None:
+            found = repr(tok[1] or "end of input")
+        return RuleSyntaxError(self.text, tok[2], f"expected {expected}, found {found}")
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
+
+    def expect(self, kind: str, text: Optional[str] = None) -> tuple[str, str, int]:
+        tok = self.peek()
+        if tok[0] != kind or (text is not None and tok[1] != text):
+            raise self.error(tok, repr(kind if text is None else text))
+        self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: Optional[str] = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise RuleSyntaxError(tok.line, tok.column, repr(want), repr(tok.text or "end of input"))
-        return self.next()
-
     def at_end(self) -> bool:
-        return self.peek().kind == "eof"
+        return self.peek()[0] == "eof"
+
+    def separated(self, item: Callable[[], T], separator: str) -> list[T]:
+        """``item (separator item)*``."""
+        items = [item()]
+        while self.peek()[1] == separator:
+            self.pos += 1
+            items.append(item())
+        return items
 
     # -- grammar ----------------------------------------------------------
 
     def term(self) -> Term:
         tok = self.peek()
-        if tok.kind == "symbol":
-            self.next()
-            return Constant(tok.text)
-        if tok.kind == "variable":
-            self.next()
-            return Variable(tok.text)
-        raise RuleSyntaxError(tok.line, tok.column, "a constant or variable", repr(tok.text or "end of input"))
+        if tok[0] == "symbol":
+            self.pos += 1
+            return Constant(tok[1])
+        if tok[0] == "variable":
+            self.pos += 1
+            return Variable(tok[1])
+        raise self.error(tok, "a constant or variable")
 
     def atom(self) -> Atom:
         name = self.expect("symbol")
         self.expect("punct", "(")
-        args = [self.term()]
-        while self.peek().text == ",":
-            self.next()
-            args.append(self.term())
+        args = self.separated(self.term, ",")
         if len(args) > MAX_ARITY:
-            raise RuleSyntaxError(name.line, name.column, f"arity <= {MAX_ARITY}", f"arity {len(args)}")
+            raise self.error(name, f"arity <= {MAX_ARITY}", f"arity {len(args)}")
         self.expect("punct", ")")
-        return Atom(name.text, tuple(args))
+        return Atom(name[1], tuple(args))
 
     def score_suffix(self) -> float:
         """Optional ``= decimal`` after the clause dot; defaults to 1.0."""
-        if self.peek().text != "=":
+        if self.peek()[1] != "=":
             return 1.0
-        self.next()
+        self.pos += 1
         tok = self.expect("decimal")
-        if "." in tok.text and len(tok.text.split(".", 1)[1]) > 6:
-            raise RuleSyntaxError(tok.line, tok.column, "at most 6 fractional digits", tok.text)
-        score = float(tok.text)
+        if "." in tok[1] and len(tok[1].split(".", 1)[1]) > 6:
+            raise self.error(tok, "at most 6 fractional digits", tok[1])
+        score = float(tok[1])
         if not (0.0 < score <= 1.0):
-            raise RuleSyntaxError(tok.line, tok.column, "score in (0, 1]", repr(score))
+            raise self.error(tok, "score in (0, 1]", repr(score))
         return score
 
     def clause(self, rule_id: str, fact_id: Optional[str] = None) -> Rule:
         head = self.atom()
         body: list[Atom] = []
-        if self.peek().kind == "implies":
-            self.next()
-            body.append(self.atom())
-            while self.peek().text == ",":
-                self.next()
-                body.append(self.atom())
+        if self.peek()[0] == "implies":
+            self.pos += 1
+            body = self.separated(self.atom, ",")
         self.expect("punct", ".")
         score = self.score_suffix()
         return Rule(head=head, body=tuple(body), score=score, id=rule_id, fact_id=fact_id)
@@ -185,34 +165,35 @@ class _Parser:
     def goal_decl(self) -> list[GoalSpec]:
         start = self.expect("symbol", "goal")
         self.expect("goalarrow")
-        atoms = [self.atom()]
-        while self.peek().text == "|":
-            self.next()
-            atoms.append(self.atom())
+        atoms = self.separated(self.atom, "|")
         self.expect("punct", ".")
         specs = []
         for a in atoms:
             try:
                 violation = foundation_for_goal_predicate(a.predicate)
             except ValueError as exc:
-                raise RuleSyntaxError(start.line, start.column, "a violate_* goal predicate", a.predicate) from exc
+                raise self.error(start, "a violate_* goal predicate", a.predicate) from exc
             specs.append(GoalSpec(violation=violation, goal_atom=a))
         return specs
 
     def at_goal_decl(self) -> bool:
-        return self.peek().text == "goal" and self.peek(1).kind == "goalarrow"
+        return self.peek()[1] == "goal" and self.tokens[self.pos + 1][0] == "goalarrow"
 
-    def skip_to_next_clause(self, error_line: int) -> None:
+    def skip_to_next_clause(self, error_offset: int) -> None:
         """Error recovery: resync after the clause terminator or at the next line."""
+        line_end = self.text.find("\n", error_offset)
+        if line_end < 0:
+            line_end = len(self.text)
         while not self.at_end():
-            if self.peek().line > error_line:
+            tok = self.peek()
+            if tok[2] > line_end:
                 return
-            tok = self.next()
-            if tok.text == ".":
-                if self.peek().text == "=":
-                    self.next()
-                    if self.peek().kind == "decimal":
-                        self.next()
+            self.pos += 1
+            if tok[1] == ".":
+                if self.peek()[1] == "=":
+                    self.pos += 1
+                    if self.peek()[0] == "decimal":
+                        self.pos += 1
                 return
 
 
@@ -221,11 +202,10 @@ def parse_rule(text: str, rule_id: str = "r0", fact_id: Optional[str] = None) ->
 
     ``fact_id`` tags a formalized rule with the explanation fact it came from.
     """
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     rule = parser.clause(rule_id, fact_id)
     if not parser.at_end():
-        tok = parser.peek()
-        raise RuleSyntaxError(tok.line, tok.column, "end of input", repr(tok.text))
+        raise parser.error(parser.peek(), "end of input")
     return rule
 
 
@@ -236,7 +216,7 @@ def parse_kb(text: str, id_prefix: str = "r") -> RuleDocument:
     document order as ``<id_prefix><index>``.
     """
     try:
-        parser = _Parser(_tokenize(text))
+        parser = _Parser(text)
     except RuleSyntaxError as exc:
         raise KbParseError([exc]) from exc
     rules: list[Rule] = []
@@ -252,7 +232,7 @@ def parse_kb(text: str, id_prefix: str = "r") -> RuleDocument:
                 index += 1
         except RuleSyntaxError as exc:
             errors.append(exc)
-            parser.skip_to_next_clause(exc.line)
+            parser.skip_to_next_clause(exc.offset)
     if errors:
         raise KbParseError(errors)
     return RuleDocument(rules=tuple(rules), goal_decls=tuple(goals))

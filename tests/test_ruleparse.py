@@ -98,6 +98,51 @@ def test_parse_kb_aggregates_errors():
         assert error.line in (2, 3)
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # term() stops on the '.', so recovery starts there and finds a second error
+        ("a(.b).", [(1, 3, "expected a constant or variable, found '.'"), (1, 5, "expected '(', found ')'")]),
+        # recovery crosses a clause that spans lines 2-4
+        (
+            "a(x).\nb(X) :-\n  c(X,\n  :- d(X).\ne(y).\nf(z) g(w).\nh(q).",
+            [(4, 3, "expected a constant or variable, found ':-'"), (6, 6, "expected '.', found 'g'")],
+        ),
+        (
+            "a(x).\nbad clause here\nb(y). = 2.0\nc(z).",
+            [(2, 5, "expected '(', found 'clause'"), (3, 9, "expected score in (0, 1], found 2.0")],
+        ),
+        # a bad character anywhere is the one error reported
+        ("good(x).\n  bad(y) = 2.\nok(z).\n  p(a) :- q(#).", [(4, 13, "expected a token, found '#'")]),
+    ],
+)
+def test_parse_kb_error_positions_and_recovery(text, expected):
+    with pytest.raises(KbParseError) as excinfo:
+        parse_kb(text)
+    errors = excinfo.value.errors
+    assert [(e.line, e.column, str(e)) for e in errors] == [
+        (line, column, f"line {line}, column {column}: {message}") for line, column, message in expected
+    ]
+    assert str(excinfo.value) == "; ".join(str(e) for e in errors)
+
+
+def test_bad_character_is_the_one_error_at_its_position():
+    rng = random.Random(5)
+    checked = 0
+    while checked < 250:
+        text = serialize(random_document(rng))
+        cut = rng.randint(0, len(text))
+        if text[cut - 1 : cut + 1] in (":-", "<-"):  # a lone ':' or '<' would come first
+            continue
+        text = text[:cut] + "#" + text[cut:]
+        with pytest.raises(KbParseError) as excinfo:
+            parse_kb(text)
+        (error,) = excinfo.value.errors
+        assert str(error).endswith("expected a token, found '#'")
+        assert text.splitlines()[error.line - 1][error.column - 1] == "#"
+        checked += 1
+
+
 def test_error_positions_point_inside_offending_clause():
     text = "good(x).\n  also_good(y).\n  broken(:- x)."
     with pytest.raises(KbParseError) as excinfo:
