@@ -5,6 +5,13 @@ The store holds them as one float32 matrix, one row per token, plus a
 token -> row dict.  Multiword symbols such as ``physical_harm`` embed as the
 mean of their in-vocabulary underscore-split tokens.
 
+Each store keeps what scoring has computed, so that no symbol or pair is
+scored twice: per symbol, its mean vector cast to float64 and that vector's
+norm; per pair, its score in one similarity table, ``symbol -> {symbol:
+score}``, filled in both directions.  The table holds raw scores, which
+depend on the vectors only, so searches under any solver settings share it.
+Neither is ever evicted.
+
 A binary cache sidesteps repeated text parsing; it is regenerated whenever the
 source file's content hash (SHA-256) or the ``limit`` changes.  Its layout,
 all integers little-endian:
@@ -39,7 +46,7 @@ class EmbeddingError(ValueError):
 
 
 class EmbeddingStore:
-    """Read-only token -> vector map with per-symbol and per-pair score caches.
+    """Read-only token -> vector map with a per-symbol cache and a similarity table.
 
     The vectors are the rows of one float32 matrix; ``token_vector`` returns a
     view of its row.
@@ -76,8 +83,9 @@ class EmbeddingStore:
         self.dimension = dimension
         self._rows = rows
         self._matrix = matrix
-        self._symbol_cache: dict[str, Optional[np.ndarray]] = {}
-        self._pair_cache: dict[tuple[str, str], float] = {}
+        # symbol -> (float64 mean vector, its norm), None when no token is known
+        self._symbol_cache: dict[str, Optional[tuple[np.ndarray, float]]] = {}
+        self._similarity: dict[str, dict[str, float]] = {}
 
     @property
     def vocab_size(self) -> int:
@@ -92,6 +100,12 @@ class EmbeddingStore:
 
     def tokens(self) -> list[str]:
         return list(self._rows)
+
+    def similarities(self, symbol: str) -> Mapping[str, float]:
+        """``symbol``'s row of the similarity table: the ``weak_unify_score`` of
+        each symbol scored against it so far.  A symbol missing from the row
+        has never been scored against ``symbol`` in this store."""
+        return self._similarity.get(symbol, {})
 
     @classmethod
     def empty(cls, dimension: int = 1) -> "EmbeddingStore":
@@ -151,38 +165,51 @@ def load_embeddings(
 
 def symbol_embedding(store: EmbeddingStore, symbol: str) -> Optional[np.ndarray]:
     """Mean of in-vocabulary underscore-split token vectors, None when all are
-    out of vocabulary; cached."""
-    cached = store._symbol_cache.get(symbol, Ellipsis)
-    if cached is not Ellipsis:
-        return cached
+    out of vocabulary."""
     hits = [v for v in (store.token_vector(t) for t in symbol.split("_")) if v is not None]
-    vector = None if not hits else np.mean(np.stack(hits), axis=0)
-    store._symbol_cache[symbol] = vector
-    return vector
+    return None if not hits else np.mean(np.stack(hits), axis=0)
+
+
+def _scoring_vector(store: EmbeddingStore, symbol: str) -> Optional[tuple[np.ndarray, float]]:
+    """``symbol_embedding`` cast to float64, with its norm; cached per symbol."""
+    cached = store._symbol_cache.get(symbol, Ellipsis)
+    if cached is Ellipsis:
+        vector = symbol_embedding(store, symbol)
+        if vector is not None:
+            vector = vector.astype(np.float64)
+            cached = (vector, float(np.linalg.norm(vector)))
+        else:
+            cached = None
+        store._symbol_cache[symbol] = cached
+    return cached
 
 
 def weak_unify_score(store: EmbeddingStore, a: str, b: str) -> float:
     """Symbol similarity in [0, 1]: exact match 1.0, else clamped cosine.
 
     Distinct symbols score 0.0 when either embedding is absent or has zero
-    norm; negative cosines clamp to 0 as well.
+    norm; negative cosines clamp to 0 as well.  A pair is scored once per
+    store and kept in its similarity table (``EmbeddingStore.similarities``).
     """
+    row = store._similarity.get(a)
+    if row is not None:
+        score = row.get(b)
+        if score is not None:
+            return score
     if a == b:
-        return 1.0
-    key = (a, b) if a <= b else (b, a)
-    cached = store._pair_cache.get(key)
-    if cached is not None:
-        return cached
-    va = symbol_embedding(store, key[0])
-    vb = symbol_embedding(store, key[1])
-    if va is None or vb is None:
-        score = 0.0
+        score = 1.0
     else:
-        x = va.astype(np.float64)
-        y = vb.astype(np.float64)
-        denom = float(np.linalg.norm(x)) * float(np.linalg.norm(y))
-        score = 0.0 if denom == 0.0 else max(0.0, min(1.0, float(np.dot(x, y)) / denom))
-    store._pair_cache[key] = score
+        first, second = (a, b) if a <= b else (b, a)
+        x = _scoring_vector(store, first)
+        y = _scoring_vector(store, second)
+        if x is None or y is None:
+            score = 0.0
+        else:
+            denom = x[1] * y[1]
+            score = 0.0 if denom == 0.0 else max(0.0, min(1.0, float(np.dot(x[0], y[0])) / denom))
+    table = store._similarity
+    table.setdefault(a, {})[b] = score
+    table.setdefault(b, {})[a] = score
     return score
 
 

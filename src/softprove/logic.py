@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 VARIABLE_NAME = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
@@ -118,6 +119,20 @@ def foundation_for_goal_predicate(predicate: str) -> MoralViolation:
     raise LogicError(f"goal predicate {predicate!r} names no known moral foundation")
 
 
+_PLAIN_DECIMAL = re.compile(r"[0-9]+\.[0-9]{1,6}\Z")
+
+
+def format_score(score: float) -> str:
+    """Shortest decimal that round-trips, capped at 6 fractional digits."""
+    shortest = repr(score)
+    if _PLAIN_DECIMAL.match(shortest):
+        return shortest
+    text = f"{score:.6f}".rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    return text
+
+
 # A compiled argument: the slot number of a rule variable, or a constant.
 Slot = Union[int, Constant]
 
@@ -143,6 +158,10 @@ class Rule:
     head and of every body atom becomes its variable's slot number or stays
     a ``Constant``.  The search standardizes the rule apart by adding a frame
     offset to the slot numbers, so no renamed copy of the rule is built.
+
+    ``text`` is the clause in the rule text format (``ruleparse``), built on
+    first use and kept: a rule that is serialized again, such as a principle
+    in every refine iteration, is formatted once.
     """
 
     head: Atom
@@ -166,6 +185,14 @@ class Rule:
             for a in (self.head, *self.body)
         ]
         object.__setattr__(self, "template", RuleTemplate(len(slots), head, tuple(body)))
+
+    @cached_property
+    def text(self) -> str:
+        """``head :- body. = score``, or ``head. = score`` for a fact."""
+        clause = str(self.head)
+        if self.body:
+            clause += " :- " + ", ".join(str(a) for a in self.body)
+        return f"{clause}. = {format_score(self.score)}"
 
 
 @dataclass(frozen=True)

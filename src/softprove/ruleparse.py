@@ -238,28 +238,9 @@ def parse_kb(text: str, id_prefix: str = "r") -> RuleDocument:
     return RuleDocument(rules=tuple(rules), goal_decls=tuple(goals))
 
 
-_PLAIN_DECIMAL = re.compile(r"[0-9]+\.[0-9]{1,6}\Z")
-
-
-def format_score(score: float) -> str:
-    """Shortest decimal that round-trips, capped at 6 fractional digits."""
-    shortest = repr(score)
-    if _PLAIN_DECIMAL.match(shortest):
-        return shortest
-    text = f"{score:.6f}".rstrip("0")
-    if text.endswith("."):
-        text += "0"
-    return text
-
-
 def format_rule(rule: Rule) -> str:
-    head = str(rule.head)
-    if rule.body:
-        body = ", ".join(str(a) for a in rule.body)
-        clause = f"{head} :- {body}"
-    else:
-        clause = head
-    return f"{clause}. = {format_score(rule.score)}"
+    """The rule's clause text (``Rule.text``), formatted once per rule."""
+    return rule.text
 
 
 def format_goal_decl(goals: Sequence[GoalSpec]) -> str:
@@ -269,7 +250,7 @@ def format_goal_decl(goals: Sequence[GoalSpec]) -> str:
 
 def serialize(doc: RuleDocument) -> str:
     """Canonical text: one clause per line, goal declaration last."""
-    lines = [format_rule(rule) for rule in doc.rules]
+    lines = [rule.text for rule in doc.rules]
     if doc.goal_decls:
         lines.append(format_goal_decl(doc.goal_decls))
     return "\n".join(lines) + ("\n" if lines else "")

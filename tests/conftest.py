@@ -20,6 +20,12 @@ def demo_store() -> EmbeddingStore:
     return load_embeddings(data_path("demo_vectors.txt"))
 
 
+@pytest.fixture()
+def fresh_demo_store() -> EmbeddingStore:
+    """The demo vectors in a store of this test's own: nothing is scored in it yet."""
+    return load_embeddings(data_path("demo_vectors.txt"))
+
+
 @pytest.fixture(scope="session")
 def principle_doc() -> RuleDocument:
     return load_principles()

@@ -1,5 +1,6 @@
 """Shared test machinery: an independent exhaustive proof enumerator, the
 named substitutions and renaming that the search's numbered ones are checked
+against, the per-pair predicate rule that the candidate scan is checked
 against, and seeded random generators for knowledge bases and rule documents.
 
 The oracle re-implements proof enumeration from scratch (plain dicts, an
@@ -17,6 +18,7 @@ from typing import Callable, Iterator, Mapping, Optional
 
 import numpy as np
 
+from softprove.embeddings import EmbeddingStore, weak_unify_score
 from softprove.logic import (
     Atom,
     Constant,
@@ -28,6 +30,7 @@ from softprove.logic import (
     Term,
     Variable,
 )
+from softprove.prover import SolverConfig
 from softprove.ruleparse import RuleDocument
 
 PairScore = Callable[[str, str], float]
@@ -117,6 +120,19 @@ def rename_apart(rule: Rule, fresh_name: Callable[[], str]) -> tuple[Atom, tuple
     head = Atom(rule.head.predicate, tuple(term(t) for t in rule.head.args))
     body = tuple(Atom(a.predicate, tuple(term(t) for t in a.args)) for a in rule.body)
     return head, body
+
+
+def head_score(goal: Atom, head: Atom, store: EmbeddingStore, config: SolverConfig) -> Optional[float]:
+    """Predicate score of ``goal`` against rule head ``head``, one pair at a
+    time, or None if they cannot unify: arities must be equal, and predicates
+    match exactly (score 1.0) or by ``weak_unify_score`` at or above the
+    unify threshold."""
+    if goal.arity != head.arity:
+        return None
+    if goal.predicate == head.predicate:
+        return 1.0
+    score = weak_unify_score(store, goal.predicate, head.predicate)
+    return score if score >= config.unify_threshold else None
 
 
 def exact_pair_score(a: str, b: str) -> float:

@@ -30,9 +30,11 @@ def test_every_traced_function_exists():
     assert missing == []
 
 
-def test_search_calls_the_traced_unify_layers(monkeypatch, demo_store, frog_case):
+def test_search_calls_the_traced_unify_layers(monkeypatch, fresh_demo_store, frog_case):
     # The traced run counts unify attempts and similarity calls through these
     # two module globals; a search that routes around them would read as 0.
+    # A store that has scored a pair before answers it from its similarity
+    # table without a call, so the search runs on a store of its own.
     from softprove import prover
     from softprove.principles import load_principles
     from softprove.srl import frame_to_facts
@@ -54,7 +56,7 @@ def test_search_calls_the_traced_unify_layers(monkeypatch, demo_store, frog_case
     case, rules = frog_case
     doc = load_principles()
     kb = assemble_kb(doc.rules, doc.goal_decls, frame_to_facts(case.frame), rules)
-    assert verify_case(case, kb, demo_store).kind.value == "valid_non_redundant"
+    assert verify_case(case, kb, fresh_demo_store).kind.value == "valid_non_redundant"
     assert calls["weak_unify_atoms"] > 0
     assert calls["weak_unify_score"] > 0
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from softprove.logic import (
     Rule,
     Variable,
     atom,
+    format_score,
     foundation_for_goal_predicate,
 )
 from softprove.principles import load_principles
@@ -119,6 +121,42 @@ def test_template_is_not_part_of_rule_equality_or_repr():
     same = Rule(rule.head, rule.body, rule.score, rule.id)
     assert same == rule and hash(same) == hash(rule)
     assert "template" not in repr(rule)
+
+
+def _formatted(rule: Rule) -> str:
+    """The clause text of ``rule``, formatted afresh."""
+    clause = str(rule.head)
+    if rule.body:
+        clause = f"{clause} :- {', '.join(str(a) for a in rule.body)}"
+    return f"{clause}. = {format_score(rule.score)}"
+
+
+def test_rule_text_equals_fresh_formatting():
+    rng = random.Random(13)
+    rules = [rule for _ in range(300) for rule in random_document(rng).rules]
+    assert len(rules) > 500
+    for rule in rules:
+        assert rule.text == _formatted(rule)
+        assert rule.text is rule.text  # kept, not formatted again
+        assert parse_rule(rule.text, rule_id=rule.id) == rule
+
+
+def test_rule_text_is_not_part_of_rule_equality_or_repr():
+    rule = parse_rule("p(X) :- q(X). = 0.5", rule_id="r0")
+    assert rule.text == "p(X) :- q(X). = 0.5"
+    same = Rule(rule.head, rule.body, rule.score, rule.id)  # text not formatted yet
+    assert same == rule and hash(same) == hash(rule)
+    assert repr(same) == repr(rule)
+    assert "text" not in repr(rule) and rule.text not in repr(rule)
+
+
+def test_replace_gives_fresh_rule_text():
+    rule = parse_rule("p(X) :- q(X). = 0.5", rule_id="r0")
+    assert rule.text == "p(X) :- q(X). = 0.5"
+    assert replace(rule, score=0.25).text == "p(X) :- q(X). = 0.25"
+    assert replace(rule, body=()).text == "p(X). = 0.5"
+    assert replace(rule, head=atom("r", "X", "a")).text == "r(X,a) :- q(X). = 0.5"
+    assert replace(rule, id="r9").text == rule.text
 
 
 # -- substitutions ---------------------------------------------------------------

@@ -26,7 +26,6 @@ from softprove.prover import (
     CandidateIndex,
     ConfigError,
     SolverConfig,
-    _head_score,
     facts_in_proof,
     prove_all_goals,
     prove_goal,
@@ -41,6 +40,7 @@ from genutil import (
     compose,
     cosine_pair_table,
     exact_pair_score,
+    head_score,
     oracle_best,
     oracle_proof_scores,
     oracle_proofs,
@@ -73,16 +73,23 @@ def test_config_validation():
 # -- atom unification -------------------------------------------------------------
 
 
+def _predicate_score(goal: Atom, head: Atom, store: EmbeddingStore, config: SolverConfig):
+    """The candidate scan's score of ``head`` for ``goal``, or None if it does
+    not pass: the index of a one-fact knowledge base with that head."""
+    found = CandidateIndex(KnowledgeBase((Rule(head, (), 1.0, "h"),)), store, config).candidates(goal)
+    return found[0][1] if found else None
+
+
 def _unify(goal: Atom, head: Atom, theta: Substitution, store: EmbeddingStore, config: SolverConfig):
-    """The search's two steps on named atoms: ``_head_score`` passes the
-    heads, then ``weak_unify_atoms`` unifies the arguments.
+    """The search's two steps on named atoms: the candidate scan passes the
+    head, then ``weak_unify_atoms`` unifies the arguments.
 
     The goal's and the head's variables share one numbering (head frame 0),
     so a name on both sides is one variable, and the named ``theta`` goes in
     as numbered bindings.  Returns ``(θ, score)`` with θ as a named
     substitution, each variable bound to the end of its chain, or None.
     """
-    score = _head_score(goal, head, store, config)
+    score = _predicate_score(goal, head, store, config)
     if score is None:
         return None
     numbers: dict[str, int] = {}
@@ -149,7 +156,7 @@ def test_unify_constant_equality_is_strict_by_default(demo_store):
 
     # Similar enough to unify as predicates, but constants match by equality only.
     assert weak_unify_score(demo_store, "the_frog", "frog") >= SolverConfig().unify_threshold
-    assert _head_score(atom("animal", "the_frog"), atom("animal", "frog"), demo_store, SolverConfig()) == 1.0
+    assert _predicate_score(atom("animal", "the_frog"), atom("animal", "frog"), demo_store, SolverConfig()) == 1.0
     assert weak_unify_atoms((Constant("the_frog"),), atom("animal", "frog"), (Constant("frog"),), 0, {}) is None
 
 
@@ -413,19 +420,25 @@ def _frog_kb(frog_case) -> KnowledgeBase:
     return assemble_kb(doc.rules, doc.goal_decls, frame_to_facts(case.frame), rules)
 
 
-def _assert_index_is_full_scan(kb: KnowledgeBase, store: EmbeddingStore, config: SolverConfig) -> None:
-    """Every goal key of the KB, and keys that match nothing, give exactly the
-    rules a scan of the whole KB passes, in KB order, with their scores."""
+def _key_goals(kb: KnowledgeBase) -> list[Atom]:
+    """A goal for every goal key of the KB, and for keys that match nothing."""
     keys = {(a.predicate, a.arity) for r in kb.rules for a in (r.head,) + r.body}
     keys |= {(g.goal_atom.predicate, g.goal_atom.arity) for g in kb.goals}
     keys |= {(predicate, 3) for predicate, _ in keys} | {("nomatch", 1), ("nomatch", 2)}
+    return [Atom(predicate, tuple(Variable(f"A{i}") for i in range(arity))) for predicate, arity in sorted(keys)]
+
+
+def _full_scan(kb: KnowledgeBase, goal: Atom, store: EmbeddingStore, config: SolverConfig):
+    """The rules whose head passes ``head_score``, in KB order, with their scores."""
+    return tuple((r, score) for r in kb.rules if (score := head_score(goal, r.head, store, config)) is not None)
+
+
+def _assert_index_is_full_scan(kb: KnowledgeBase, store: EmbeddingStore, config: SolverConfig) -> None:
+    """Every goal key of the KB, and keys that match nothing, give exactly the
+    rules a scan of the whole KB passes, in KB order, with their scores."""
     index = CandidateIndex(kb, store, config)
-    for predicate, arity in sorted(keys):
-        goal = Atom(predicate, tuple(Variable(f"A{i}") for i in range(arity)))
-        scan = tuple(
-            (r, score) for r in kb.rules if (score := _head_score(goal, r.head, store, config)) is not None
-        )
-        assert index.candidates(goal) == scan
+    for goal in _key_goals(kb):
+        assert index.candidates(goal) == _full_scan(kb, goal, store, config)
         assert index.candidates(goal) is index.candidates(goal)
 
 
@@ -441,6 +454,36 @@ def test_candidate_index_equals_full_scan_on_random_suites():
             for store in (_store_from_vectors(vectors), EMPTY_STORE):
                 _assert_index_is_full_scan(kb, store, SolverConfig())
                 _assert_index_is_full_scan(shuffled, store, SolverConfig())
+
+
+def test_candidate_lists_from_the_table_equal_the_per_pair_reference():
+    # The reference scores pair by pair in a store that no index reads.  The
+    # index reads a cold store, a store warmed by the lookups of another KB
+    # that shares half of this KB's rules, and a store warmed by this KB
+    # under another unify threshold; the lists must not depend on which
+    # pairs the table already holds.
+    rng = random.Random(4004)
+    for _ in range(100):
+        kb, _, vectors = random_layered_kb(rng)
+        other, _, other_vectors = random_layered_kb(rng)
+        shared = rng.sample(kb.rules, (len(kb.rules) + 1) // 2)
+        other = KnowledgeBase(tuple(replace(r, id=f"o{r.id}") for r in other.rules) + tuple(shared), other.goals)
+        vectors = {**other_vectors, **vectors}
+        for threshold, other_threshold in ((0.5, 0.2), (0.2, 0.5)):
+            config = SolverConfig(unify_threshold=threshold)
+            reference = _store_from_vectors(vectors)
+            cold, by_other_kb, by_other_threshold = (_store_from_vectors(vectors) for _ in range(3))
+            for warm_kb, store, warm_config in (
+                (other, by_other_kb, config),
+                (kb, by_other_threshold, SolverConfig(unify_threshold=other_threshold)),
+            ):
+                warm_index = CandidateIndex(warm_kb, store, warm_config)
+                for goal in _key_goals(warm_kb):
+                    warm_index.candidates(goal)
+            for store in (cold, by_other_kb, by_other_threshold):
+                index = CandidateIndex(kb, store, config)
+                for goal in _key_goals(kb):
+                    assert index.candidates(goal) == _full_scan(kb, goal, reference, config)
 
 
 def test_candidate_index_equals_full_scan_on_frog_kb_at_the_unify_threshold(demo_store, frog_case):
@@ -464,11 +507,10 @@ def test_candidate_index_equals_full_scan_on_frog_kb_at_the_unify_threshold(demo
         assert compression & ids == (compression if included else set())
 
 
-def test_prove_all_goals_scores_each_predicate_pair_at_most_once(monkeypatch, demo_store, frog_case):
+def _count_similarity_calls(monkeypatch) -> list[tuple[str, str]]:
+    """The pairs ``prover.weak_unify_score`` is called with from now on."""
     from softprove import prover
 
-    kb = _frog_kb(frog_case)
-    expected = prove_all_goals(kb, kb.goals, demo_store, SolverConfig())
     original = prover.weak_unify_score
     pairs: list[tuple[str, str]] = []
 
@@ -477,9 +519,25 @@ def test_prove_all_goals_scores_each_predicate_pair_at_most_once(monkeypatch, de
         return original(store, a, b)
 
     monkeypatch.setattr(prover, "weak_unify_score", counted)
-    assert prove_all_goals(kb, kb.goals, demo_store, SolverConfig()) == expected
+    return pairs
+
+
+def test_prove_all_goals_scores_each_predicate_pair_at_most_once(monkeypatch, demo_store, fresh_demo_store, frog_case):
+    kb = _frog_kb(frog_case)
+    expected = prove_all_goals(kb, kb.goals, demo_store, SolverConfig())
+    pairs = _count_similarity_calls(monkeypatch)
+    assert prove_all_goals(kb, kb.goals, fresh_demo_store, SolverConfig()) == expected
     assert pairs
     assert [pair for pair in set(pairs) if pairs.count(pair) > 1] == []
+
+
+def test_a_warm_store_proves_again_without_scoring(monkeypatch, fresh_demo_store, frog_case):
+    kb = _frog_kb(frog_case)
+    first = prove_all_goals(kb, kb.goals, fresh_demo_store, SolverConfig())
+    assert first is not None
+    pairs = _count_similarity_calls(monkeypatch)
+    assert prove_all_goals(kb, kb.goals, fresh_demo_store, SolverConfig()) == first
+    assert pairs == []
 
 
 def test_prove_goal_rejects_an_index_built_for_another_search(demo_store):

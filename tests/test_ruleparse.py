@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from softprove.logic import Constant, MoralViolation, Variable
+from softprove.logic import Constant, MoralViolation, Variable, format_score
 from softprove.ruleparse import (
     KbParseError,
     RuleSyntaxError,
-    format_score,
+    format_rule,
     parse_kb,
     parse_rule,
     serialize,
@@ -196,6 +196,19 @@ def test_round_trip_includes_goal_lines():
         seen_goals += len(doc.goal_decls)
         assert parse_kb(serialize(doc)) == doc
     assert seen_goals > 0
+
+
+def test_serialize_reads_the_kept_rule_text():
+    # Each rule keeps its clause text once formatted: serializing a document
+    # again, or the document parsed back from it, gives the same bytes.
+    rng = random.Random(17)
+    for _ in range(200):
+        doc = random_document(rng)
+        text = serialize(doc)
+        assert [format_rule(rule) for rule in doc.rules] == [rule.text for rule in doc.rules]
+        assert serialize(doc) == text
+        again = parse_kb(text)
+        assert again == doc and serialize(again) == text
 
 
 def test_document_equality_ignores_layout():
