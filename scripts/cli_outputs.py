@@ -76,6 +76,7 @@ def shipped_commands(data: Path, work: Path, out: Path) -> list[tuple[str, list[
         ("error-cache-without-embeddings", ["verify", frog, "--embeddings-cache", str(work / "x.spemb")]),
         ("error-limit-without-embeddings", ["verify", frog, "--limit", "5"]),
         ("error-negative-limit", ["verify", frog, *vectors, "--limit", "-3"]),
+        ("error-lenient-mock-flag", ["refine", *prison, *mock, *vectors, "--lenient-mock"]),
         (
             "error-refine-abort",
             ["refine", *prison, "--mock", str(work / "no_abduce.json"), *vectors,

@@ -16,7 +16,6 @@ from .prover import (
     ProofResult,
     ProofStep,
     SolverConfig,
-    facts_in_proof,
     prove_all_goals,
     prove_goal,
     render_proof,

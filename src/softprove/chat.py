@@ -2,7 +2,7 @@
 thin HTTPS client for OpenAI-style endpoints.
 
 The mock replays canned responses keyed by (prompt role, prompt substring);
-in strict mode an unmatched prompt is an error, never a fabricated reply.
+an unmatched prompt is an error, never a fabricated reply.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ Message = tuple[str, str]
 
 
 class ChatError(RuntimeError):
-    """A failed call, a malformed transcript, or a strict mock's unmatched prompt."""
+    """A failed call, a malformed transcript, or a mock's unmatched prompt."""
 
 
 @dataclass(frozen=True)
@@ -57,13 +57,12 @@ class MockTranscript:
     """Deterministic client: first entry whose role matches and whose match key
     is a substring of the rendered prompt wins.  Entries are reusable."""
 
-    def __init__(self, entries: Sequence[TranscriptEntry], strict: bool = True) -> None:
+    def __init__(self, entries: Sequence[TranscriptEntry]) -> None:
         self.entries = list(entries)
-        self.strict = strict
         self.requests: list[tuple[str, str]] = []
 
     @classmethod
-    def from_json(cls, text: str, strict: bool = True) -> "MockTranscript":
+    def from_json(cls, text: str) -> "MockTranscript":
         docs = json.loads(text)
         if not isinstance(docs, list):
             raise ChatError("transcript must be a JSON array")
@@ -73,11 +72,11 @@ class MockTranscript:
                 entries.append(TranscriptEntry(doc["role"], doc["match"], doc["response"]))
             except (TypeError, KeyError) as exc:
                 raise ChatError(f"malformed transcript entry: {doc!r}") from exc
-        return cls(entries, strict=strict)
+        return cls(entries)
 
     @classmethod
-    def from_file(cls, path: Union[str, Path], strict: bool = True) -> "MockTranscript":
-        return cls.from_json(Path(path).read_text("utf-8"), strict=strict)
+    def from_file(cls, path: Union[str, Path]) -> "MockTranscript":
+        return cls.from_json(Path(path).read_text("utf-8"))
 
     def complete(self, messages: Sequence[Message], params: ChatParams) -> str:
         rendered = "\n".join(text for _, text in messages)
@@ -86,11 +85,7 @@ class MockTranscript:
         for entry in self.entries:
             if entry.role == role and entry.match in rendered:
                 return entry.response
-        if self.strict:
-            raise ChatError(
-                f"no transcript entry for role {role!r}; prompt starts: {rendered[:120]!r}"
-            )
-        return ""
+        raise ChatError(f"no transcript entry for role {role!r}; prompt starts: {rendered[:120]!r}")
 
 
 class HttpChatClient:

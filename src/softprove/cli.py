@@ -23,7 +23,8 @@ Each command takes only the flags it reads; every command takes ``--json``.
   directory; the manifest's own ``report`` key is read relative to the
   manifest.
 - ``refine --case SEED``: those of ``verify``, plus ``--mock`` or ``--live``,
-  ``--lenient-mock``, ``--iterations``, ``--temperature`` and ``--out``.
+  ``--iterations``, ``--temperature`` and ``--out``.  A prompt that the
+  ``--mock`` transcript has no entry for aborts the loop.
 - ``embeddings cache``: ``--embeddings``, ``--limit`` and ``--out`` (default
   ``<source>.spemb``).
 
@@ -177,7 +178,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
         gold_violation=MoralViolation(doc["gold_violation"]) if doc.get("gold_violation") else None,
     )
     if args.mock:
-        client = MockTranscript.from_file(args.mock, strict=not args.lenient_mock)
+        client = MockTranscript.from_file(args.mock)
     elif args.live:
         client = HttpChatClient()
     else:
@@ -307,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refine", help="run the iterative repair loop on a case seed")
     p.add_argument("--case", required=True)
     p.add_argument("--mock", default=None, help="transcript JSON for the deterministic client")
-    p.add_argument("--lenient-mock", action="store_true", help="unmatched prompts return empty replies")
     p.add_argument("--live", action="store_true", help="use the HTTPS chat client")
     p.add_argument("--iterations", type=int, default=3)
     p.add_argument("--temperature", type=float, default=0.5)

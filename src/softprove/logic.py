@@ -209,25 +209,20 @@ class KnowledgeBase:
 
     rules: tuple[Rule, ...]
     goals: tuple[GoalSpec, ...] = ()
-    _by_id: Mapping[str, Rule] = field(init=False, repr=False, compare=False)
     _by_head: Mapping[int, Mapping[str, list[int]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", tuple(self.rules))
         object.__setattr__(self, "goals", tuple(self.goals))
-        by_id: dict[str, Rule] = {}
+        ids: set[str] = set()
         by_head: dict[int, dict[str, list[int]]] = {}
         for position, rule in enumerate(self.rules):
-            if rule.id in by_id:
+            if rule.id in ids:
                 raise LogicError(f"duplicate rule id: {rule.id!r}")
-            by_id[rule.id] = rule
+            ids.add(rule.id)
             head = rule.head
             by_head.setdefault(head.arity, {}).setdefault(head.predicate, []).append(position)
-        object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_by_head", by_head)
-
-    def rule_by_id(self, rule_id: str) -> Rule:
-        return self._by_id[rule_id]
 
     def head_groups(self, arity: int) -> Mapping[str, Sequence[int]]:
         """Positions in ``rules`` of the heads of this arity, grouped by predicate."""

@@ -1,12 +1,11 @@
 """Prompt template registry for the refinement pipeline.
 
 A template's slots are the replacement fields of its user text; rendering
-with a missing slot is an error.
+with a missing slot raises ``KeyError`` naming it.
 """
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,10 +19,6 @@ class PromptRole(Enum):
     DEDUCE = "deduce"
 
 
-class TemplateError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class PromptTemplate:
     role: PromptRole
@@ -31,9 +26,6 @@ class PromptTemplate:
     user: str
 
     def render(self, **slots: str) -> list[Message]:
-        missing = {name for _, name, _, _ in string.Formatter().parse(self.user) if name} - set(slots)
-        if missing:
-            raise TemplateError(f"{self.role.value} template missing slots: {sorted(missing)}")
         return [("system", self.system), ("user", self.user.format(**slots))]
 
 

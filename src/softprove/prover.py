@@ -31,19 +31,21 @@ the search still reaches, so neither can change the best proof.
   cut stops definitional cycles (``p :- q`` beside ``q :- p``) from being
   unrolled down to ``max_depth``.
 
-A ``CandidateIndex`` maps each goal ``(predicate, arity)`` to the rules whose
-head can unify with it, in knowledge-base order: the heads of the same
-arity whose predicate is the goal's or scores at or above the unify
-threshold.  It reads each head predicate's score from the store's similarity
-table, once per goal key, and scores only a pair the store has never seen.
-The table outlives the search, and searches repeat pairs: the cases of
-``corpus verify`` and the iterations of the refine loop prove against the
-same principle library.  On the benchmark's seed-1 inputs, of the checks of
-a head against a goal with another predicate, none repeats a (goal, head)
-predicate pair within one ``corpus`` case, but 45 % repeat one from an
-earlier case of the round; in ``refine``, 56 % repeat within one refine loop
-and 71 % over a round of eight loops; a second round finds every pair in the
-table.  Only the candidates are tried, in knowledge-base order.
+Each goal's candidates are the rules whose head can unify with it, in
+knowledge-base order: the heads of the same arity whose predicate is the
+goal's or scores at or above the unify threshold (``candidate_rules``).  The
+scan reads each head predicate's score from the store's similarity table and
+scores only a pair the store has never seen.  The table outlives the search,
+and searches repeat pairs: the cases of ``corpus verify`` and the iterations
+of the refine loop prove against the same principle library.  On the
+benchmark's seed-1 inputs, of the checks of a head against a goal with
+another predicate, none repeats a (goal, head) predicate pair within one
+``corpus`` case, but 45 % repeat one from an earlier case of the round; in
+``refine``, 56 % repeat within one refine loop and 71 % over a round of eight
+loops; a second round finds every pair in the table.  The search keeps no
+memo of candidate lists: it scans again for each goal, one table lookup per
+head group, since on the same inputs a goal key recurs in only 10-14 % of
+the scans of one ``prove_all_goals``.
 
 Rules are standardized apart without copying them.  Each rule carries its
 ``template`` (``logic.Rule``): its variables numbered from 0 by first
@@ -132,6 +134,7 @@ class ProofResult:
     proof: ProofStep
     proof_score: float
     used_rule_ids: frozenset[str]
+    used_fact_ids: frozenset[str]  # the ``fact_id`` of every rule in the proof that has one
     budget_exceeded: bool = False
 
 
@@ -155,7 +158,7 @@ def weak_unify_atoms(
     compiled arguments (``rule.template.head``), so slot ``s`` is variable
     ``frame + s``; ``head`` itself is passed so that a wrapper of this
     function sees which rule is tried.  The predicates have already passed
-    the candidate scan (``CandidateIndex``), which gives the unification its
+    the candidate scan (``candidate_rules``), which gives the unification its
     score; arguments match structurally, and constants by equality only.
     Where both sides are variables, the head's is bound, so the goal's naming
     survives in output.
@@ -184,44 +187,31 @@ def weak_unify_atoms(
     return bindings
 
 
-class CandidateIndex:
-    """Rules whose head can unify with a goal, per goal ``(predicate, arity)``.
+def candidate_rules(
+    kb: KnowledgeBase, goal: Atom, store: EmbeddingStore, config: SolverConfig
+) -> list[tuple[Rule, float]]:
+    """The rules whose head can unify with ``goal``, each with its predicate
+    score, in knowledge-base order.
 
-    Built for one knowledge base, store and configuration.  The first lookup
-    of a goal key scans the head predicates of that arity
+    Scans the head predicates of the goal's arity
     (``KnowledgeBase.head_groups``): a head unifies with the goal when its
     similarity to the goal's predicate, 1.0 for the same predicate, is at or
-    above the unify threshold.  The scan reads each similarity from the
-    store's table (``EmbeddingStore.similarities``) and calls
-    ``weak_unify_score`` only for a pair the store has never scored.  It keeps
-    the rules of the groups that pass, each with its predicate score, in
-    knowledge-base order; later lookups of the key return the same tuple.
+    above the unify threshold.  Each similarity comes from the store's table
+    (``EmbeddingStore.similarities``); ``weak_unify_score`` is called only for
+    a pair the store has never scored.
     """
-
-    def __init__(self, kb: KnowledgeBase, store: EmbeddingStore, config: SolverConfig) -> None:
-        self.kb = kb
-        self.store = store
-        self.config = config
-        self._memo: dict[tuple[str, int], tuple[tuple[Rule, float], ...]] = {}
-
-    def candidates(self, goal: Atom) -> tuple[tuple[Rule, float], ...]:
-        key = (goal.predicate, goal.arity)
-        found = self._memo.get(key)
-        if found is None:
-            rules = self.kb.rules
-            predicate, store, threshold = goal.predicate, self.store, self.config.unify_threshold
-            similarities = store.similarities(predicate)
-            scored: list[tuple[int, float]] = []
-            for head, positions in self.kb.head_groups(goal.arity).items():
-                score = similarities.get(head)
-                if score is None:
-                    score = weak_unify_score(store, predicate, head)
-                if score >= threshold:
-                    scored.extend((position, score) for position in positions)
-            scored.sort()  # positions are distinct: back into knowledge-base order
-            found = tuple((rules[position], score) for position, score in scored)
-            self._memo[key] = found
-        return found
+    rules = kb.rules
+    predicate, threshold = goal.predicate, config.unify_threshold
+    similarities = store.similarities(predicate)
+    scored: list[tuple[int, float]] = []
+    for head, positions in kb.head_groups(goal.arity).items():
+        score = similarities.get(head)
+        if score is None:
+            score = weak_unify_score(store, predicate, head)
+        if score >= threshold:
+            scored.extend((position, score) for position in positions)
+    scored.sort()  # positions are distinct: back into knowledge-base order
+    return [(rules[position], score) for position, score in scored]
 
 
 # The goals above a subgoal on the current path, nearest first, as linked
@@ -229,10 +219,10 @@ class CandidateIndex:
 # predicate, the arguments are variable numbers and constants not under θ.
 _Ancestors = Optional[tuple[Atom, tuple[Slot, ...], "_Ancestors"]]
 
-# A proof tree during the search: (goal atom, goal arguments, rule id, unify
+# A proof tree during the search: (goal atom, goal arguments, rule, unify
 # score, children).  The arguments are not under θ; ``_materialize`` builds
 # the ``ProofStep`` tree of the best proof from it.
-_Node = tuple[Atom, tuple[Slot, ...], str, float, tuple["_Node", ...]]
+_Node = tuple[Atom, tuple[Slot, ...], Rule, float, tuple["_Node", ...]]
 
 
 def _repeats_ancestor(goal: Atom, args: tuple[Slot, ...], theta: Bindings, ancestors: _Ancestors) -> bool:
@@ -248,21 +238,22 @@ def _repeats_ancestor(goal: Atom, args: tuple[Slot, ...], theta: Bindings, ances
     return False
 
 
-def _rule_ids(node: _Node) -> list[str]:
-    """The rule id of every step of a proof tree, one per step."""
-    ids = []
+def _rules(node: _Node) -> list[Rule]:
+    """The rule of every step of a proof tree, one per step."""
+    rules = []
     stack = [node]
     while stack:
-        _, _, rule_id, _, children = stack.pop()
-        ids.append(rule_id)
+        _, _, rule, _, children = stack.pop()
+        rules.append(rule)
         stack.extend(children)
-    return ids
+    return rules
 
 
 class _Search:
-    def __init__(self, index: CandidateIndex) -> None:
-        self.index = index
-        self.config = index.config
+    def __init__(self, kb: KnowledgeBase, store: EmbeddingStore, config: SolverConfig) -> None:
+        self.kb = kb
+        self.store = store
+        self.config = config
         self._next_frame = 0  # variable numbers given to frames so far
         # A candidate whose running product falls below this is skipped: the
         # proof threshold, raised by ``run`` to the best score found so far.
@@ -276,7 +267,7 @@ class _Search:
         if depth > self.config.max_depth or _repeats_ancestor(goal, args, theta, ancestors):
             return
         lineage = (goal, args, ancestors)
-        for rule, score in self.index.candidates(goal):
+        for rule, score in candidate_rules(self.kb, goal, self.store, self.config):
             running1 = running * (score * rule.score)
             if running1 < self._bound:
                 continue
@@ -286,7 +277,7 @@ class _Search:
             if theta1 is None:
                 continue
             for theta2, children, running2 in self._solve_body(rule, frame, 0, theta1, depth, running1, lineage):
-                yield theta2, (goal, args, rule.id, score, children), running2
+                yield theta2, (goal, args, rule, score, children), running2
 
     def _solve_body(
         self, rule: Rule, frame: int, position: int, theta: Bindings, depth: int, running: float, ancestors: _Ancestors
@@ -312,8 +303,8 @@ class _Search:
             if complete > MAX_PROOFS_PER_GOAL:
                 truncated = True
                 break
-            rule_ids = _rule_ids(node)
-            key = (-score, len(rule_ids), tuple(sorted(set(rule_ids))))
+            rules = _rules(node)
+            key = (-score, len(rules), tuple(sorted({rule.id for rule in rules})))
             if best is None or key < best[0]:
                 best = (key, node, theta)
                 self._bound = score  # a branch below the best score can only end in a worse key
@@ -325,6 +316,7 @@ class _Search:
             proof=_materialize(node, theta, goal_variables),
             proof_score=-neg_score,
             used_rule_ids=frozenset(rule_ids),
+            used_fact_ids=frozenset(rule.fact_id for rule in _rules(node) if rule.fact_id is not None),
             budget_exceeded=truncated,
         )
 
@@ -359,10 +351,10 @@ def _materialize(node: _Node, theta: Bindings, goal_variables: Sequence[Variable
         return variable
 
     def build(node: _Node) -> ProofStep:
-        goal, args, rule_id, score, children = node
+        goal, args, rule, score, children = node
         return ProofStep(
             goal_atom=Atom(goal.predicate, tuple(term(a) for a in args)),
-            rule_id=rule_id,
+            rule_id=rule.id,
             unification_score=score,
             children=tuple(build(child) for child in children),
         )
@@ -375,19 +367,9 @@ def prove_goal(
     goal: GoalSpec,
     store: EmbeddingStore,
     config: SolverConfig = SolverConfig(),
-    index: Optional[CandidateIndex] = None,
 ) -> Optional[ProofResult]:
-    """Best-scoring complete proof of one goal, or None if nothing clears the bar.
-
-    ``index`` lets several goals share candidate lookups; it must have been
-    built for this ``kb``, ``store`` and ``config``.  Without it the search
-    builds its own.
-    """
-    if index is None:
-        index = CandidateIndex(kb, store, config)
-    elif index.kb is not kb or index.store is not store or index.config != config:
-        raise ConfigError("candidate index was built for another knowledge base, store or config")
-    return _Search(index).run(goal)
+    """Best-scoring complete proof of one goal, or None if nothing clears the bar."""
+    return _Search(kb, store, config).run(goal)
 
 
 def prove_all_goals(
@@ -398,20 +380,18 @@ def prove_all_goals(
 ) -> Optional[tuple[MoralViolation, ProofResult]]:
     """Try each goal in order; the globally best proof names the hypothesis.
 
-    The goals share one ``CandidateIndex``, since their searches meet the
-    same subgoals: each head predicate is looked up at most once per goal key
-    over all of them, and candidates still come in knowledge-base order, so
-    the proofs are those each goal's search finds on its own.  Ties across
-    goals go to the earlier goal in ``goals``.  If any per-goal search hit
+    Each goal is searched on its own by ``prove_goal``; the goals share only
+    the store's similarity table, so a predicate pair is scored at most once
+    over all of them.  Ties across goals go to the earlier goal in
+    ``goals``.  If any per-goal search hit
     the proof budget, the winning result is flagged as possibly non-optimal.
     """
     if not goals:
         raise ConfigError("prove_all_goals needs at least one goal")
-    index = CandidateIndex(kb, store, config)
     best: Optional[tuple[MoralViolation, ProofResult]] = None
     any_truncated = False
     for spec in goals:
-        result = prove_goal(kb, spec, store, config, index)
+        result = prove_goal(kb, spec, store, config)
         if result is None:
             continue
         any_truncated = any_truncated or result.budget_exceeded
@@ -420,16 +400,6 @@ def prove_all_goals(
     if best is not None and any_truncated and not best[1].budget_exceeded:
         best = (best[0], replace(best[1], budget_exceeded=True))
     return best
-
-
-def facts_in_proof(result: ProofResult, kb: KnowledgeBase) -> set[str]:
-    """Ids of the explanation facts whose formalized rules appear in the proof."""
-    ids: set[str] = set()
-    for step in result.proof.walk():
-        rule = kb.rule_by_id(step.rule_id)
-        if rule.fact_id is not None:
-            ids.add(rule.fact_id)
-    return ids
 
 
 def render_proof(result: ProofResult) -> str:

@@ -32,7 +32,7 @@ from .embeddings import EmbeddingStore
 from .logic import MoralViolation, Rule
 from .principles import load_principles
 from .prompts import PromptRole, template
-from .prover import ConfigError, ProofResult, SolverConfig, facts_in_proof, proof_to_dict, render_proof
+from .prover import ConfigError, ProofResult, SolverConfig, proof_to_dict, render_proof
 from .ruleparse import RuleDocument, parse_rule, serialize
 from .srl import SemanticFrame, frame_to_facts
 from .verifier import (
@@ -430,7 +430,7 @@ def _iterate(
         records.append(record)
         if iteration >= config.max_iterations:
             return facts, hypothesis
-        used = facts_in_proof(outcome.proof, kb) if outcome.proof else set()
+        used = outcome.proof.used_fact_ids if outcome.proof else frozenset()
         kept_texts = [t for fid, t in facts if fid in used]
         new_facts = abductive_inference(
             kept_texts,

@@ -20,10 +20,6 @@ _NON_ALNUM = re.compile(r"[^a-z0-9]+")
 class SchemaError(ValueError):
     """Frame document missing or mis-typing required keys."""
 
-    def __init__(self, problems: list[str]) -> None:
-        self.problems = problems
-        super().__init__("; ".join(problems))
-
 
 def normalize_phrase(phrase: str) -> str:
     """Lowercase, non-alphanumerics to ``_``, collapse repeats, strip ends.
@@ -48,14 +44,14 @@ class SemanticFrame:
 
     def __post_init__(self) -> None:
         if not self.action_lemma:
-            raise SchemaError(["action lemma must be non-empty"])
+            raise SchemaError("action lemma must be non-empty")
         object.__setattr__(self, "extra_roles", dict(self.extra_roles))
 
 
 def frame_from_dict(doc: object) -> SemanticFrame:
     """Validate one frame document (parsed JSON) and build its frame."""
     if not isinstance(doc, dict):
-        raise SchemaError(["frame document must be a JSON object"])
+        raise SchemaError("frame document must be a JSON object")
     problems = []
     for key in ("statement", "action"):
         if key not in doc:
@@ -73,13 +69,13 @@ def frame_from_dict(doc: object) -> SemanticFrame:
     ):
         problems.append("key roles must map strings to strings")
     if problems:
-        raise SchemaError(problems)
+        raise SchemaError("; ".join(problems))
     normalized_roles = {normalize_phrase(k): v for k, v in roles.items()}
     if any(not k for k in normalized_roles):
-        raise SchemaError(["role names must normalize to non-empty symbols"])
+        raise SchemaError("role names must normalize to non-empty symbols")
     action = normalize_phrase(doc["action"])
     if not action:
-        raise SchemaError(["key action must normalize to a non-empty symbol"])
+        raise SchemaError("key action must normalize to a non-empty symbol")
     return SemanticFrame(
         statement=doc["statement"],
         action_lemma=action,
@@ -101,7 +97,7 @@ def _phrase_facts(
     """
     symbol = normalize_phrase(phrase)
     if not symbol:
-        raise SchemaError([f"phrase {phrase!r} normalizes to an empty symbol"])
+        raise SchemaError(f"phrase {phrase!r} normalizes to an empty symbol")
     facts = [
         Rule(
             head=Atom(symbol, (Constant(role_constant),)),

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .embeddings import EmbeddingStore
 from .logic import GoalSpec, KnowledgeBase, MoralViolation, Rule
-from .prover import ConfigError, ProofResult, SolverConfig, facts_in_proof, prove_all_goals
+from .prover import ConfigError, ProofResult, SolverConfig, prove_all_goals
 from .ruleparse import parse_rule
 from .srl import SemanticFrame, frame_from_dict
 
@@ -86,7 +86,7 @@ def verify_case(
         return VerificationOutcome(
             kind=OutcomeKind.INVALID_MISMATCH, proof=result, entailed=entailed
         )
-    unused = case.fact_ids() - facts_in_proof(result, kb)
+    unused = case.fact_ids() - result.used_fact_ids
     if unused:
         return VerificationOutcome(
             kind=OutcomeKind.VALID_REDUNDANT,
@@ -156,7 +156,10 @@ class MetricsRow:
 class MetricsReport:
     overall: MetricsRow
     per_iteration: tuple[MetricsRow, ...]
-    empty: bool
+
+    @property
+    def empty(self) -> bool:
+        return self.overall.total == 0
 
 
 def _row(label: str, outcomes: Sequence[VerificationOutcome]) -> MetricsRow:
@@ -182,7 +185,7 @@ def aggregate_metrics(outcomes: Sequence[tuple[int, VerificationOutcome]]) -> Me
         for iteration in sorted(by_iteration)
     )
     overall = _row("all", [o for _, o in outcomes])
-    return MetricsReport(overall=overall, per_iteration=rows, empty=not outcomes)
+    return MetricsReport(overall=overall, per_iteration=rows)
 
 
 METRICS_COLUMNS = ("Valid", "Invalid", "Valid and non-Redundant", "Valid but Redundant")

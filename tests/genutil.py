@@ -1,6 +1,7 @@
 """Shared test machinery: an independent exhaustive proof enumerator, the
 named substitutions and renaming that the search's numbered ones are checked
 against, the per-pair predicate rule that the candidate scan is checked
+against, the proof walk that ``ProofResult.used_fact_ids`` is checked
 against, and seeded random generators for knowledge bases and rule documents.
 
 The oracle re-implements proof enumeration from scratch (plain dicts, an
@@ -30,7 +31,7 @@ from softprove.logic import (
     Term,
     Variable,
 )
-from softprove.prover import SolverConfig
+from softprove.prover import ProofResult, SolverConfig
 from softprove.ruleparse import RuleDocument
 
 PairScore = Callable[[str, str], float]
@@ -133,6 +134,18 @@ def head_score(goal: Atom, head: Atom, store: EmbeddingStore, config: SolverConf
         return 1.0
     score = weak_unify_score(store, goal.predicate, head.predicate)
     return score if score >= config.unify_threshold else None
+
+
+def facts_in_proof(result: ProofResult, kb: KnowledgeBase) -> set[str]:
+    """Ids of the explanation facts whose formalized rules appear in the
+    proof, found by walking the proof and looking each step's rule up by id."""
+    by_id = {rule.id: rule for rule in kb.rules}
+    ids: set[str] = set()
+    for step in result.proof.walk():
+        rule = by_id[step.rule_id]
+        if rule.fact_id is not None:
+            ids.add(rule.fact_id)
+    return ids
 
 
 def exact_pair_score(a: str, b: str) -> float:

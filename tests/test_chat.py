@@ -11,8 +11,8 @@ from softprove.chat import (
 )
 
 
-def _client(entries, strict=True):
-    return MockTranscript([TranscriptEntry(*e) for e in entries], strict=strict)
+def _client(entries):
+    return MockTranscript([TranscriptEntry(*e) for e in entries])
 
 
 def test_mock_matches_on_role_and_substring():
@@ -43,11 +43,6 @@ def test_strict_mock_raises_on_miss():
     client = _client([("semantic", "frog", "x")])
     with pytest.raises(ChatError, match="^no transcript entry for role 'semantic'"):
         client.complete([("user", "a dog instead")], ChatParams().tagged("semantic"))
-
-
-def test_lenient_mock_returns_empty_reply():
-    client = _client([], strict=False)
-    assert client.complete([("user", "anything")], ChatParams().tagged("semantic")) == ""
 
 
 def test_transcript_from_json_validates_entries():

@@ -391,6 +391,7 @@ def test_malformed_case_or_seed_is_an_input_error(tmp_path, capsys, command, doc
         ["prove", "kb.pl", "--principles", "x"],
         ["embeddings", "cache", "--embeddings", "v.txt", "--embeddings-cache", "x"],
         ["embeddings", "cache", "--embeddings", "v.txt", "--principles", "x"],
+        ["refine", "--case", "seed.json", "--mock", "t.json", "--lenient-mock"],
     ],
 )
 def test_commands_reject_flags_they_do_not_read(capsys, argv):

@@ -23,10 +23,9 @@ from softprove.logic import (
 )
 from softprove.ruleparse import parse_rule
 from softprove.prover import (
-    CandidateIndex,
     ConfigError,
     SolverConfig,
-    facts_in_proof,
+    candidate_rules,
     prove_all_goals,
     prove_goal,
     proof_to_dict,
@@ -40,6 +39,7 @@ from genutil import (
     compose,
     cosine_pair_table,
     exact_pair_score,
+    facts_in_proof,
     head_score,
     oracle_best,
     oracle_proof_scores,
@@ -75,8 +75,8 @@ def test_config_validation():
 
 def _predicate_score(goal: Atom, head: Atom, store: EmbeddingStore, config: SolverConfig):
     """The candidate scan's score of ``head`` for ``goal``, or None if it does
-    not pass: the index of a one-fact knowledge base with that head."""
-    found = CandidateIndex(KnowledgeBase((Rule(head, (), 1.0, "h"),)), store, config).candidates(goal)
+    not pass: the candidates of a one-fact knowledge base with that head."""
+    found = candidate_rules(KnowledgeBase((Rule(head, (), 1.0, "h"),)), goal, store, config)
     return found[0][1] if found else None
 
 
@@ -353,9 +353,10 @@ def test_score_recompute_from_tree(demo_store, frog_case):
     outcome = prove_all_goals(kb, kb.goals, demo_store, SolverConfig())
     assert outcome is not None
     _, result = outcome
+    by_id = {rule.id: rule for rule in kb.rules}
     recomputed = 1.0
     for step in result.proof.walk():
-        recomputed *= step.unification_score * kb.rule_by_id(step.rule_id).score
+        recomputed *= step.unification_score * by_id[step.rule_id].score
     assert abs(recomputed - result.proof_score) < 1e-12
 
 
@@ -407,7 +408,7 @@ def test_prove_all_goals_requires_goals():
         prove_all_goals(kb, kb.goals, EMPTY_STORE, SolverConfig())
 
 
-# -- candidate index ------------------------------------------------------------------
+# -- candidate scan -------------------------------------------------------------------
 
 
 def _frog_kb(frog_case) -> KnowledgeBase:
@@ -430,19 +431,17 @@ def _key_goals(kb: KnowledgeBase) -> list[Atom]:
 
 def _full_scan(kb: KnowledgeBase, goal: Atom, store: EmbeddingStore, config: SolverConfig):
     """The rules whose head passes ``head_score``, in KB order, with their scores."""
-    return tuple((r, score) for r in kb.rules if (score := head_score(goal, r.head, store, config)) is not None)
+    return [(r, score) for r in kb.rules if (score := head_score(goal, r.head, store, config)) is not None]
 
 
-def _assert_index_is_full_scan(kb: KnowledgeBase, store: EmbeddingStore, config: SolverConfig) -> None:
+def _assert_candidates_are_full_scan(kb: KnowledgeBase, store: EmbeddingStore, config: SolverConfig) -> None:
     """Every goal key of the KB, and keys that match nothing, give exactly the
     rules a scan of the whole KB passes, in KB order, with their scores."""
-    index = CandidateIndex(kb, store, config)
     for goal in _key_goals(kb):
-        assert index.candidates(goal) == _full_scan(kb, goal, store, config)
-        assert index.candidates(goal) is index.candidates(goal)
+        assert candidate_rules(kb, goal, store, config) == _full_scan(kb, goal, store, config)
 
 
-def test_candidate_index_equals_full_scan_on_random_suites():
+def test_candidates_equal_full_scan_on_random_suites():
     # The suites list each head predicate's rules together; a shuffled copy
     # interleaves them, so the candidates of several groups must be merged.
     shuffler = random.Random(7)
@@ -452,13 +451,13 @@ def test_candidate_index_equals_full_scan_on_random_suites():
             kb, _, vectors = random_layered_kb(rng)
             shuffled = KnowledgeBase(tuple(shuffler.sample(kb.rules, len(kb.rules))), kb.goals)
             for store in (_store_from_vectors(vectors), EMPTY_STORE):
-                _assert_index_is_full_scan(kb, store, SolverConfig())
-                _assert_index_is_full_scan(shuffled, store, SolverConfig())
+                _assert_candidates_are_full_scan(kb, store, SolverConfig())
+                _assert_candidates_are_full_scan(shuffled, store, SolverConfig())
 
 
 def test_candidate_lists_from_the_table_equal_the_per_pair_reference():
-    # The reference scores pair by pair in a store that no index reads.  The
-    # index reads a cold store, a store warmed by the lookups of another KB
+    # The reference scores pair by pair in a store that no scan reads.  The
+    # scan reads a cold store, a store warmed by the scans of another KB
     # that shares half of this KB's rules, and a store warmed by this KB
     # under another unify threshold; the lists must not depend on which
     # pairs the table already holds.
@@ -477,16 +476,14 @@ def test_candidate_lists_from_the_table_equal_the_per_pair_reference():
                 (other, by_other_kb, config),
                 (kb, by_other_threshold, SolverConfig(unify_threshold=other_threshold)),
             ):
-                warm_index = CandidateIndex(warm_kb, store, warm_config)
                 for goal in _key_goals(warm_kb):
-                    warm_index.candidates(goal)
+                    candidate_rules(warm_kb, goal, store, warm_config)
             for store in (cold, by_other_kb, by_other_threshold):
-                index = CandidateIndex(kb, store, config)
                 for goal in _key_goals(kb):
-                    assert index.candidates(goal) == _full_scan(kb, goal, reference, config)
+                    assert candidate_rules(kb, goal, store, config) == _full_scan(kb, goal, reference, config)
 
 
-def test_candidate_index_equals_full_scan_on_frog_kb_at_the_unify_threshold(demo_store, frog_case):
+def test_candidates_equal_full_scan_on_frog_kb_at_the_unify_threshold(demo_store, frog_case):
     from softprove.embeddings import weak_unify_score
 
     kb = _frog_kb(frog_case)
@@ -501,9 +498,9 @@ def test_candidate_index_equals_full_scan_on_frog_kb_at_the_unify_threshold(demo
         (SolverConfig(unify_threshold=score), True),  # exactly at the threshold
         (SolverConfig(unify_threshold=math.nextafter(score, 1.0)), False),  # one ulp below it
     ):
-        _assert_index_is_full_scan(kb, demo_store, config)
-        _assert_index_is_full_scan(reversed_kb, demo_store, config)
-        ids = {r.id for r, _ in CandidateIndex(kb, demo_store, config).candidates(goal)}
+        _assert_candidates_are_full_scan(kb, demo_store, config)
+        _assert_candidates_are_full_scan(reversed_kb, demo_store, config)
+        ids = {r.id for r, _ in candidate_rules(kb, goal, demo_store, config)}
         assert compression & ids == (compression if included else set())
 
 
@@ -540,21 +537,7 @@ def test_a_warm_store_proves_again_without_scoring(monkeypatch, fresh_demo_store
     assert pairs == []
 
 
-def test_prove_goal_rejects_an_index_built_for_another_search(demo_store):
-    kb = _kb("violate_care_physical(X,Y) :- h(X).", "h(action).")
-    other = _kb("violate_care_physical(X,Y) :- h(X).", "h(action).")
-    index = CandidateIndex(kb, EMPTY_STORE, SolverConfig())
-    assert prove_goal(kb, kb.goals[0], EMPTY_STORE, SolverConfig(), index) is not None
-    for args in (
-        (other, EMPTY_STORE, SolverConfig()),
-        (kb, demo_store, SolverConfig()),
-        (kb, EMPTY_STORE, SolverConfig(max_depth=3)),
-    ):
-        with pytest.raises(ConfigError):
-            prove_goal(args[0], kb.goals[0], args[1], args[2], index)
-
-
-# -- facts_in_proof -----------------------------------------------------------------
+# -- facts in a proof ----------------------------------------------------------------
 
 
 def test_facts_in_proof_excludes_principles_and_srl():
@@ -564,7 +547,7 @@ def test_facts_in_proof_excludes_principles_and_srl():
         "animal(patient).",
     )
     result = prove_goal(kb, kb.goals[0], EMPTY_STORE, SolverConfig())
-    assert facts_in_proof(result, kb) == set()
+    assert result.used_fact_ids == facts_in_proof(result, kb) == set()
 
 
 def test_facts_in_proof_frog_chain(demo_store, frog_case):
@@ -576,7 +559,7 @@ def test_facts_in_proof_frog_chain(demo_store, frog_case):
     doc = load_principles()
     kb = assemble_kb(doc.rules, doc.goal_decls, frame_to_facts(case.frame), rules)
     _, result = prove_all_goals(kb, kb.goals, demo_store, SolverConfig())
-    assert facts_in_proof(result, kb) == {"f1", "f2", "f3"}
+    assert result.used_fact_ids == facts_in_proof(result, kb) == {"f1", "f2", "f3"}
 
 
 def test_facts_in_proof_subset_of_generated_ids():
@@ -594,7 +577,31 @@ def test_facts_in_proof_subset_of_generated_ids():
         if result is None:
             continue
         all_generated = {r.fact_id for r in tagged.rules if r.fact_id is not None}
-        assert facts_in_proof(result, tagged) <= all_generated
+        assert result.used_fact_ids == facts_in_proof(result, tagged)
+        assert result.used_fact_ids <= all_generated
+
+
+def test_used_fact_ids_equal_the_proof_walk_on_oracle_suites():
+    # The KBs of the oracle suites, with most rules tagged from three fact
+    # ids so that several rules of one proof can share a fact.  The tags come
+    # from a generator of their own, so each suite builds the KBs it checks.
+    tagger = random.Random(31)
+    checked = 0
+    for seed, weak in ((1001, False), (2002, True), (3003, True)):
+        rng = random.Random(seed)
+        for _ in range(100):
+            kb, goal, vectors = random_layered_kb(rng)
+            tagged = KnowledgeBase(
+                tuple(replace(r, fact_id=f"f{tagger.randrange(3)}") if tagger.random() < 0.7 else r for r in kb.rules),
+                kb.goals,
+            )
+            store = _store_from_vectors(vectors) if weak else EMPTY_STORE
+            result = prove_goal(tagged, goal, store, SolverConfig())
+            if result is None:
+                continue
+            assert result.used_fact_ids == facts_in_proof(result, tagged)
+            checked += 1
+    assert checked == 47  # goals of the three suites that have a proof
 
 
 # -- rendering and export ------------------------------------------------------------

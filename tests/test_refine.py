@@ -5,7 +5,7 @@ import pytest
 
 from softprove.chat import ChatError, MockTranscript, TranscriptEntry
 from softprove.logic import MoralViolation
-from softprove.prompts import PromptRole, TemplateError, template
+from softprove.prompts import PromptRole, template
 from softprove.refine import (
     CaseSeed,
     RefineAborted,
@@ -26,8 +26,8 @@ FROG_FRAME = frame_from_dict(
 )
 
 
-def _mock(entries, strict=True):
-    return MockTranscript([TranscriptEntry(*e) for e in entries], strict=strict)
+def _mock(entries):
+    return MockTranscript([TranscriptEntry(*e) for e in entries])
 
 
 def _prison_seed():
@@ -42,9 +42,9 @@ def _prison_seed():
     )
 
 
-def _prison_client(strict=True):
+def _prison_client():
     text = resources.files("softprove").joinpath("data/transcripts/prison.json").read_text()
-    return MockTranscript.from_json(text, strict=strict)
+    return MockTranscript.from_json(text)
 
 
 # -- templates ----------------------------------------------------------------------
@@ -62,7 +62,7 @@ def test_render_fills_slots():
 
 
 def test_render_missing_slot_is_error():
-    with pytest.raises(TemplateError):
+    with pytest.raises(KeyError, match="principles"):
         template(PromptRole.SEMANTIC).render(statement="s", frame="f")  # principles missing
 
 
@@ -378,7 +378,7 @@ def test_facts_without_rules_abort_the_loop(demo_store):
 
 
 def test_no_fabrication_in_strict_mode(demo_store):
-    client = _prison_client(strict=True)
+    client = _prison_client()
     _, trace = refine_loop(_prison_seed(), RefineConfig(), client, demo_store)
     responses = {e.response for e in client.entries}
     for record in trace.records:

@@ -7,7 +7,7 @@ import pytest
 from softprove.embeddings import EmbeddingStore
 from softprove.logic import MoralViolation
 from softprove.principles import load_principles
-from softprove.prover import ConfigError, SolverConfig, facts_in_proof, prove_all_goals
+from softprove.prover import ConfigError, SolverConfig, prove_all_goals
 from softprove.ruleparse import parse_rule
 from softprove.srl import frame_to_facts
 from softprove.verifier import (
@@ -21,6 +21,7 @@ from softprove.verifier import (
     render_metrics,
     verify_case,
 )
+from genutil import facts_in_proof
 
 EMPTY_STORE = EmbeddingStore.empty()
 
@@ -37,7 +38,7 @@ def test_frog_case_valid_non_redundant(demo_store, frog_case):
     assert outcome.entailed is MoralViolation.CARE
     assert outcome.proof is not None
     kb = _frog_kb(case, rules)
-    assert facts_in_proof(outcome.proof, kb) == case.fact_ids()
+    assert outcome.proof.used_fact_ids == facts_in_proof(outcome.proof, kb) == case.fact_ids()
 
 
 def test_unused_generated_fact_makes_it_redundant(demo_store, frog_case):
