@@ -7,9 +7,11 @@
 Runs ``python -m softprove.cli`` from ``CHECKOUT/src`` on the shipped data,
 and on ``CHECKOUT/.bench_inputs/`` (made by ``python3 benchmark/gen.py``) when
 it exists: ``prove --json`` on each ``large_kb`` KB, ``verify --json`` on each
-``corpus`` case and ``corpus verify --json`` over all of them, and
-``refine --json`` on each ``refine`` seed with its planted iteration budget.
-The bad-input commands give the exit codes and ``error:`` lines.
+``corpus`` case and ``corpus verify`` over all of them, in text and
+``--json``, and ``refine --json`` on each ``refine`` seed with its planted
+iteration budget.  On the shipped data, ``corpus verify`` also runs over
+variants of the frog case at iterations 0, 1 and 2 and over an empty
+manifest.  The bad-input commands give the exit codes and ``error:`` lines.
 
 For each command NAME it writes ``NAME.out``, ``NAME.err`` and ``NAME.code`` to
 OUTDIR, with the checkout's path replaced by ``<ROOT>`` and OUTDIR's by
@@ -48,6 +50,40 @@ def shipped_commands(data: Path, work: Path, out: Path) -> list[tuple[str, list[
     (work / "sub" / "manifest.json").write_text(json.dumps({"cases": [frog]}), "utf-8")
     entries = json.loads(transcript.read_text("utf-8"))
     (work / "no_abduce.json").write_text(json.dumps([e for e in entries if e["role"] != "abduce"]), "utf-8")
+    (work / "match_number.json").write_text(json.dumps([{**entries[0], "match": 5}, *entries[1:]]), "utf-8")
+    (work / "response_list.json").write_text(
+        json.dumps([{**entries[0], "response": entries[0]["response"].splitlines()}, *entries[1:]]), "utf-8"
+    )
+    # A nan component, which would otherwise score its token 1.0 against every symbol.
+    (work / "nan_vectors.txt").write_text("harm 1.0 0.0\nkick nan 0.0\n", "utf-8")
+    (work / "kick.pl").write_text(
+        "violate_care_physical(X,Y) :- harm(X). = 1.0\nkick(action).\ngoal <- violate_care_physical(action,patient).\n",
+        "utf-8",
+    )
+    # A chain longer than any depth the search's stack can reach.
+    chain = ["violate_care_physical(X,Y) :- p0(X).", *(f"p{i}(X) :- p{i + 1}(X)." for i in range(1200))]
+    (work / "chain.pl").write_text("\n".join([*chain, "goal <- violate_care_physical(action,patient)."]), "utf-8")
+
+    # The frog case at iterations 0, 1 and 2: every outcome kind, and an
+    # iteration (1) with no valid outcome, whose redundancy columns print 0.0.
+    case = json.loads(Path(frog).read_text("utf-8"))
+    padded = {**case, "nl_facts": case["nl_facts"] + [{"id": "f4", "text": "The sky is blue."}],
+              "rules": case["rules"] + [{"fact_id": "f4", "clause": "sky_is_blue(action). = 1.0"}]}
+    variants = [
+        ("valid", 0, case),
+        ("mismatch", 0, {**case, "hypothesis": "authority"}),
+        ("no_proof", 1, {**case, "rules": []}),
+        ("mismatch", 1, {**case, "hypothesis": "liberty"}),
+        ("redundant", 2, padded),
+        ("valid", 2, case),
+    ]
+    iteration_cases = []
+    for index, (kind, iteration, doc) in enumerate(variants):
+        name = f"iteration{iteration}-{index}-{kind}.json"
+        (work / name).write_text(json.dumps({**doc, "iteration": iteration}), "utf-8")
+        iteration_cases.append(name)
+    (work / "iterations.json").write_text(json.dumps({"cases": iteration_cases, "split": "iterations"}), "utf-8")
+    (work / "empty.json").write_text(json.dumps({"cases": []}), "utf-8")
 
     return [
         ("parse", ["parse", str(data / "principles.pl")]),
@@ -61,6 +97,10 @@ def shipped_commands(data: Path, work: Path, out: Path) -> list[tuple[str, list[
         # ``directory/`` exists; ``sub/directory/`` does not.
         ("corpus-out-from-working-directory",
          ["corpus", "verify", str(work / "sub" / "manifest.json"), *vectors, "--out", "directory/report.json"]),
+        ("corpus-iterations", ["corpus", "verify", str(work / "iterations.json"), *vectors]),
+        ("corpus-iterations-json", ["corpus", "verify", str(work / "iterations.json"), *vectors, "--json"]),
+        ("corpus-empty", ["corpus", "verify", str(work / "empty.json"), *vectors]),
+        ("corpus-empty-json", ["corpus", "verify", str(work / "empty.json"), *vectors, "--json"]),
         # bad input: each ends in exit 1, 2 or 4 and one `error:` line
         ("error-bad-clause", ["parse", str(work / "bad.pl")]),
         ("error-clause-positions", ["parse", str(work / "bad_lines.pl")]),
@@ -76,6 +116,10 @@ def shipped_commands(data: Path, work: Path, out: Path) -> list[tuple[str, list[
         ("error-cache-without-embeddings", ["verify", frog, "--embeddings-cache", str(work / "x.spemb")]),
         ("error-limit-without-embeddings", ["verify", frog, "--limit", "5"]),
         ("error-negative-limit", ["verify", frog, *vectors, "--limit", "-3"]),
+        ("error-nan-vector", ["prove", str(work / "kick.pl"), "--embeddings", str(work / "nan_vectors.txt")]),
+        ("error-transcript-match-number", ["refine", *prison, "--mock", str(work / "match_number.json"), *vectors]),
+        ("error-transcript-response-list", ["refine", *prison, "--mock", str(work / "response_list.json"), *vectors]),
+        ("error-max-depth-over-cap", ["prove", str(work / "chain.pl"), "--max-depth", "500"]),
         ("error-lenient-mock-flag", ["refine", *prison, *mock, *vectors, "--lenient-mock"]),
         (
             "error-refine-abort",
@@ -101,6 +145,7 @@ def bench_commands(inputs: Path, work: Path) -> list[tuple[str, list[str]]]:
     manifest = work / "corpus-manifest.json"
     manifest.write_text(json.dumps({"cases": [str(case) for case in cases]}), "utf-8")
     commands.append(("corpus-verify", ["corpus", "verify", str(manifest), "--json", *vectors("corpus")]))
+    commands.append(("corpus-verify-text", ["corpus", "verify", str(manifest), *vectors("corpus")]))
     refine = inputs / "refine"
     for seed in json.loads((refine / "expect.json").read_text("utf-8"))["seeds"]:
         name = Path(seed["seed"]).stem

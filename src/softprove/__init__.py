@@ -26,7 +26,6 @@ from .ruleparse import RuleDocument, parse_kb, parse_rule, serialize
 from .srl import SemanticFrame, frame_to_facts
 from .verifier import (
     EthicalCase,
-    MetricsReport,
     VerificationOutcome,
     aggregate_metrics,
     verify_case,

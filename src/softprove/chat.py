@@ -68,10 +68,9 @@ class MockTranscript:
             raise ChatError("transcript must be a JSON array")
         entries = []
         for doc in docs:
-            try:
-                entries.append(TranscriptEntry(doc["role"], doc["match"], doc["response"]))
-            except (TypeError, KeyError) as exc:
-                raise ChatError(f"malformed transcript entry: {doc!r}") from exc
+            if not isinstance(doc, dict) or not all(isinstance(doc.get(k), str) for k in ("role", "match", "response")):
+                raise ChatError(f"malformed transcript entry: {doc!r}")
+            entries.append(TranscriptEntry(doc["role"], doc["match"], doc["response"]))
         return cls(entries)
 
     @classmethod

@@ -31,9 +31,10 @@ Each command takes only the flags it reads; every command takes ``--json``.
 The vector flags are ``--embeddings``, ``--embeddings-cache`` and ``--limit``;
 the last two need the first, and ``--limit`` must not be negative.
 The solver flags are the solver's three settings and no other:
-``--unify-threshold``, ``--proof-threshold`` and ``--max-depth``.  Goal
-constants name SRL role slots and match by equality only, and every
-reported proof clears the proof threshold.
+``--unify-threshold``, ``--proof-threshold`` and ``--max-depth``; the last
+is at most 256 (``prover.MAX_DEPTH``), since a deeper search would overflow
+the interpreter's stack.  Goal constants name SRL role slots and match by
+equality only, and every reported proof clears the proof threshold.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from .verifier import (
     aggregate_metrics,
     assemble_kb,
     case_from_dict,
-    metrics_to_dict,
     render_metrics,
     verify_case,
 )
@@ -146,13 +146,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     principle_doc = load_principles(args.principles)
     kb = assemble_kb(principle_doc.rules, principle_doc.goal_decls, frame_to_facts(case.frame), rules)
     outcome = verify_case(case, kb, _store(args), _solver_config(args))
-    payload = {
-        "case_id": case.id,
-        "outcome": outcome.kind.value,
-        "entailed": outcome.entailed.value if outcome.entailed else None,
-        "unused_fact_ids": sorted(outcome.unused_fact_ids),
-        "proof": proof_to_dict(outcome.proof) if outcome.proof else None,
-    }
+    payload = {"case_id": case.id, **outcome.to_dict()}
     text_lines = [f"{case.id}: {outcome.kind.value}"]
     if outcome.entailed:
         text_lines.append(f"entailed: {outcome.entailed.value}")
@@ -226,8 +220,7 @@ def cmd_corpus_verify(args: argparse.Namespace) -> int:
         except Exception as exc:  # per-case failures never abort the corpus run
             failures.append(str(path_text))
             print(f"case failed: {path_text}: {type(exc).__name__}: {exc}", file=sys.stderr)
-    report = aggregate_metrics(outcomes)
-    payload = metrics_to_dict(report)
+    payload = aggregate_metrics(outcomes)
     payload["split"] = manifest.get("split")
     payload["failures"] = failures
     if args.out:
@@ -238,7 +231,7 @@ def cmd_corpus_verify(args: argparse.Namespace) -> int:
         destination = None
     if destination:
         destination.write_text(json.dumps(payload, indent=2) + "\n", "utf-8")
-    _emit(args, render_metrics(report), payload)
+    _emit(args, render_metrics(payload), payload)
     return EXIT_OK
 
 

@@ -1,6 +1,7 @@
 """Word-vector store and the weak-unification score between symbols.
 
-Vectors load from GloVe-style text (one ``token v1 .. vd`` line per token).
+Vectors load from GloVe-style text (one ``token v1 .. vd`` line per token);
+a nan or infinite component, or one too large for float32, is an error.
 The store holds them as one float32 matrix, one row per token, plus a
 token -> row dict.  Multiword symbols such as ``physical_harm`` embed as the
 mean of their in-vocabulary underscore-split tokens.
@@ -52,6 +53,7 @@ class EmbeddingStore:
     view of its row.
     """
 
+    @np.errstate(over="ignore")  # a component too large for float32 becomes inf
     def __init__(self, dimension: int, vectors: Mapping[str, np.ndarray]) -> None:
         """Validate ``vectors`` and copy them into the store's own matrix.
 
@@ -69,7 +71,9 @@ class EmbeddingStore:
                 raise EmbeddingError(f"token {token!r} has shape {arr.shape}, want ({dimension},)")
             checked[token.lower()] = arr
         matrix = np.stack(list(checked.values())) if checked else np.empty((0, dimension), np.float32)
-        self._init(dimension, dict(zip(checked, range(len(checked)))), matrix)
+        rows = dict(zip(checked, range(len(checked))))
+        _check_finite(rows, matrix)
+        self._init(dimension, rows, matrix)
 
     @classmethod
     def _from_matrix(cls, dimension: int, rows: dict[str, int], matrix: np.ndarray) -> "EmbeddingStore":
@@ -113,6 +117,21 @@ class EmbeddingStore:
         return cls(dimension, {})
 
 
+def _check_finite(rows: Mapping[str, int], matrix: np.ndarray) -> None:
+    """Reject a matrix with a nan or infinite component, naming its token:
+    such a vector would score its symbols 1.0 against every other symbol.
+
+    A row's float64 sum cannot overflow, so it is finite exactly when every
+    float32 component is; unlike ``np.isfinite(matrix)`` it needs no
+    matrix-sized temporary.
+    """
+    finite = np.isfinite(matrix.sum(axis=1, dtype=np.float64))
+    if not finite.all():
+        row = int(np.flatnonzero(~finite)[0])
+        raise EmbeddingError(f"token {list(rows)[row]!r} has a non-finite vector component")
+
+
+@np.errstate(over="ignore")  # a numeral too large for float32 becomes inf
 def load_embeddings(
     source: Union[str, Path, BinaryIO], limit: Optional[int] = None
 ) -> EmbeddingStore:
@@ -160,6 +179,7 @@ def load_embeddings(
     if dimension is None:
         raise EmbeddingError("embedding source contains no vector lines")
     matrix = np.frombuffer(data, dtype=np.float32).reshape(len(rows), dimension)
+    _check_finite(rows, matrix)
     return EmbeddingStore._from_matrix(dimension, rows, matrix)
 
 

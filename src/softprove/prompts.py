@@ -1,27 +1,20 @@
-"""Prompt template registry for the refinement pipeline.
+"""The four prompts of the refinement pipeline.
 
-A template's slots are the replacement fields of its user text; rendering
-with a missing slot raises ``KeyError`` naming it.
+A prompt's ``role`` is the transcript role string that ``ChatParams.role``
+carries to the client.  Its slots are the replacement fields of its user
+text; rendering with a missing slot raises ``KeyError`` naming it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .chat import Message
 
 
-class PromptRole(Enum):
-    SEMANTIC = "semantic"
-    AUTOFORMALIZE = "autoformalize"
-    ABDUCE = "abduce"
-    DEDUCE = "deduce"
-
-
 @dataclass(frozen=True)
 class PromptTemplate:
-    role: PromptRole
+    role: str
     system: str
     user: str
 
@@ -38,8 +31,8 @@ An action can violate one of six moral foundations:
 - sanctity: sexually deviant, degrading, or disgusting acts
 - liberty: coercion or reduced freedom of choice, exercised by someone in a position of power"""
 
-_SEMANTIC = PromptTemplate(
-    role=PromptRole.SEMANTIC,
+SEMANTIC = PromptTemplate(
+    role="semantic",
     system=(
         "You explain why everyday actions are morally unacceptable.\n"
         + _FOUNDATIONS_BRIEF
@@ -62,8 +55,8 @@ _SEMANTIC = PromptTemplate(
     user="Statement: {statement}\nRoles: {frame}\nPrinciples:\n{principles}",
 )
 
-_AUTOFORMALIZE = PromptTemplate(
-    role=PromptRole.AUTOFORMALIZE,
+AUTOFORMALIZE = PromptTemplate(
+    role="autoformalize",
     system=(
         "You translate plain-language facts into scored implication rules.\n"
         "Use lowercase snake_case predicates.  X stands for the action, Y for the patient.\n"
@@ -79,8 +72,8 @@ _AUTOFORMALIZE = PromptTemplate(
     user="Roles: {frame}\nFact: {facts}",
 )
 
-_ABDUCE = PromptTemplate(
-    role=PromptRole.ABDUCE,
+ABDUCE = PromptTemplate(
+    role="abduce",
     system=(
         "You repair incomplete moral explanations.\n"
         + _FOUNDATIONS_BRIEF
@@ -92,8 +85,8 @@ _ABDUCE = PromptTemplate(
     user="Statement: {statement}\nVerified premises: {facts}\nHypothesis: {hypothesis}",
 )
 
-_DEDUCE = PromptTemplate(
-    role=PromptRole.DEDUCE,
+DEDUCE = PromptTemplate(
+    role="deduce",
     system=(
         "You judge which moral foundation a set of premises supports.\n"
         + _FOUNDATIONS_BRIEF
@@ -101,11 +94,3 @@ _DEDUCE = PromptTemplate(
     ),
     user="Premises:\n{facts}",
 )
-
-TEMPLATES: dict[PromptRole, PromptTemplate] = {
-    t.role: t for t in (_SEMANTIC, _AUTOFORMALIZE, _ABDUCE, _DEDUCE)
-}
-
-
-def template(role: PromptRole) -> PromptTemplate:
-    return TEMPLATES[role]

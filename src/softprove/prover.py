@@ -91,13 +91,20 @@ class ConfigError(ValueError):
 # its result ``budget_exceeded``.
 MAX_PROOFS_PER_GOAL = 10_000
 
+# The deepest ``max_depth`` a config accepts.  The search nests about two
+# generator frames per level, so a deeper one would overflow the
+# interpreter's default recursion limit of 1,000; this leaves room for the
+# callers' own stack.
+MAX_DEPTH = 256
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     """The solver's three settings; defaults follow the tuned configuration.
 
     A predicate pair unifies at or above ``unify_threshold``; a proof counts
-    at or above ``proof_threshold``; no proof goes deeper than ``max_depth``.
+    at or above ``proof_threshold``; no proof goes deeper than ``max_depth``,
+    which is at most ``MAX_DEPTH``.
     """
 
     unify_threshold: float = 0.5
@@ -109,8 +116,8 @@ class SolverConfig:
             raise ConfigError(f"unify_threshold must be in (0, 1]: {self.unify_threshold}")
         if not (0.0 < self.proof_threshold <= 1.0):
             raise ConfigError(f"proof_threshold must be in (0, 1]: {self.proof_threshold}")
-        if self.max_depth < 1:
-            raise ConfigError(f"max_depth must be >= 1: {self.max_depth}")
+        if not (1 <= self.max_depth <= MAX_DEPTH):
+            raise ConfigError(f"max_depth must be in [1, {MAX_DEPTH}]: {self.max_depth}")
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,8 @@ from .chat import ChatClient, ChatError, ChatParams
 from .embeddings import EmbeddingStore
 from .logic import MoralViolation, Rule
 from .principles import load_principles
-from .prompts import PromptRole, template
-from .prover import ConfigError, ProofResult, SolverConfig, proof_to_dict, render_proof
+from .prompts import ABDUCE, AUTOFORMALIZE, DEDUCE, SEMANTIC
+from .prover import ConfigError, ProofResult, SolverConfig, render_proof
 from .ruleparse import RuleDocument, parse_rule, serialize
 from .srl import SemanticFrame, frame_to_facts
 from .verifier import (
@@ -124,10 +124,10 @@ def semantic_inference(
     principles_text: str = "",
 ) -> tuple[list[Fact], MoralViolation]:
     """Initial explanation facts and violation hypothesis for a statement."""
-    messages = template(PromptRole.SEMANTIC).render(
+    messages = SEMANTIC.render(
         statement=statement, frame=frame_summary(frame), principles=principles_text
     )
-    tagged = params.tagged(PromptRole.SEMANTIC.value)
+    tagged = params.tagged(SEMANTIC.role)
     reply = client.complete(messages, tagged)
     premises = parse_premises(reply)
     if not premises or _HYPOTHESIS_LINE.search(reply) is None:
@@ -152,12 +152,12 @@ def autoformalize(
     dropped with a logged warning, never silently.  No fact, or no parsable
     clause, gives no rules.
     """
-    tagged = params.tagged(PromptRole.AUTOFORMALIZE.value)
+    tagged = params.tagged(AUTOFORMALIZE.role)
     summary = frame_summary(frame)
     rules: list[Rule] = []
     warnings: list[str] = []
     for fact_id, text in nl_facts:
-        messages = template(PromptRole.AUTOFORMALIZE).render(facts=text, frame=summary)
+        messages = AUTOFORMALIZE.render(facts=text, frame=summary)
         reply = client.complete(messages, tagged)
         parsed, bad = _parse_clauses(reply, fact_id)
         if bad:
@@ -202,10 +202,10 @@ def abductive_inference(
 
     Duplicates of existing facts (case-insensitive text match) are removed.
     """
-    messages = template(PromptRole.ABDUCE).render(
+    messages = ABDUCE.render(
         statement=statement, facts=_numbered(kept_facts), hypothesis=hypothesis.value
     )
-    tagged = params.tagged(PromptRole.ABDUCE.value)
+    tagged = params.tagged(ABDUCE.role)
     reply = client.complete(messages, tagged)
     premises = parse_premises(reply)
     if not premises:
@@ -234,8 +234,8 @@ def deductive_inference(
     """Re-derive the violated foundation from the (extended) explanation."""
     if not nl_facts:
         raise RefineError("deduction needs at least one fact")
-    messages = template(PromptRole.DEDUCE).render(facts=_numbered([t for _, t in nl_facts]))
-    tagged = params.tagged(PromptRole.DEDUCE.value)
+    messages = DEDUCE.render(facts=_numbered([t for _, t in nl_facts]))
+    tagged = params.tagged(DEDUCE.role)
     reply = client.complete(messages, tagged)
     if not reply.strip():
         reply = client.complete(messages, tagged)
@@ -302,10 +302,7 @@ class RefineTrace:
                 "added_facts": [{"id": i, "text": t} for i, t in record.added_facts],
                 "pruned_fact_ids": list(record.pruned_fact_ids),
                 "dropped_clauses": list(record.dropped_clauses),
-                "outcome": record.outcome.kind.value,
-                "entailed": record.outcome.entailed.value if record.outcome.entailed else None,
-                "unused_fact_ids": sorted(record.outcome.unused_fact_ids),
-                "proof": proof_to_dict(record.proof) if record.proof else None,
+                **record.outcome.to_dict(),
                 "proof_render": render_proof(record.proof) if record.proof else None,
                 "kb": record.kb_text,
             }

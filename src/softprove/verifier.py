@@ -3,17 +3,22 @@
 An explanation is valid when the solver entails the same violation the
 language model hypothesised; a valid explanation is non-redundant when every
 generated fact appears in the winning proof tree.
+
+Each report is built once, as the JSON it prints: ``VerificationOutcome.to_dict``
+gives a verdict's keys, and ``aggregate_metrics`` gives the metrics report as
+a dict with the keys of ``metrics.schema.json``, which ``render_metrics``
+prints as a text table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
 from .embeddings import EmbeddingStore
 from .logic import GoalSpec, KnowledgeBase, MoralViolation, Rule
-from .prover import ConfigError, ProofResult, SolverConfig, prove_all_goals
+from .prover import ConfigError, ProofResult, SolverConfig, proof_to_dict, prove_all_goals
 from .ruleparse import parse_rule
 from .srl import SemanticFrame, frame_from_dict
 
@@ -62,6 +67,15 @@ class VerificationOutcome:
     @property
     def valid(self) -> bool:
         return self.kind in (OutcomeKind.VALID_NON_REDUNDANT, OutcomeKind.VALID_REDUNDANT)
+
+    def to_dict(self) -> dict:
+        """The verdict's JSON keys, as ``verify --json`` and the refine trace print them."""
+        return {
+            "outcome": self.kind.value,
+            "entailed": self.entailed.value if self.entailed else None,
+            "unused_fact_ids": sorted(self.unused_fact_ids),
+            "proof": proof_to_dict(self.proof) if self.proof else None,
+        }
 
 
 def verify_case(
@@ -119,120 +133,66 @@ def _pct(count: int, total: int) -> float:
     return round(100.0 * count / total, 1) if total else 0.0
 
 
-@dataclass(frozen=True)
-class MetricsRow:
-    """Counts and percentages for one group of outcomes.
+def _row(label: str, outcomes: Sequence[VerificationOutcome]) -> dict:
+    """One report row under its ``metrics.schema.json`` keys.
 
-    The redundancy split is computed within the valid subset, so
-    ``non_redundant_pct + redundant_pct`` is 100 up to rounding whenever any
-    outcome is valid.
+    The redundancy split is computed within the valid subset, so the two
+    redundancy percentages sum to 100 up to rounding whenever any outcome is
+    valid.
     """
-
-    label: str
-    total: int
-    valid: int
-    invalid: int
-    non_redundant: int
-    redundant: int
-
-    @property
-    def valid_pct(self) -> float:
-        return _pct(self.valid, self.total)
-
-    @property
-    def invalid_pct(self) -> float:
-        return _pct(self.invalid, self.total)
-
-    @property
-    def non_redundant_pct(self) -> float:
-        return _pct(self.non_redundant, self.valid)
-
-    @property
-    def redundant_pct(self) -> float:
-        return _pct(self.redundant, self.valid)
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    overall: MetricsRow
-    per_iteration: tuple[MetricsRow, ...]
-
-    @property
-    def empty(self) -> bool:
-        return self.overall.total == 0
-
-
-def _row(label: str, outcomes: Sequence[VerificationOutcome]) -> MetricsRow:
+    total = len(outcomes)
     valid = sum(1 for o in outcomes if o.valid)
     non_redundant = sum(1 for o in outcomes if o.kind is OutcomeKind.VALID_NON_REDUNDANT)
-    return MetricsRow(
-        label=label,
-        total=len(outcomes),
-        valid=valid,
-        invalid=len(outcomes) - valid,
-        non_redundant=non_redundant,
-        redundant=valid - non_redundant,
-    )
+    return {
+        "label": label,
+        "total": total,
+        "valid": valid,
+        "invalid": total - valid,
+        "valid_pct": _pct(valid, total),
+        "invalid_pct": _pct(total - valid, total),
+        "valid_non_redundant": non_redundant,
+        "valid_redundant": valid - non_redundant,
+        "valid_non_redundant_pct": _pct(non_redundant, valid),
+        "valid_redundant_pct": _pct(valid - non_redundant, valid),
+    }
 
 
-def aggregate_metrics(outcomes: Sequence[tuple[int, VerificationOutcome]]) -> MetricsReport:
-    """Overall and per-iteration percentage rows, one-decimal rounding."""
+def aggregate_metrics(outcomes: Sequence[tuple[int, VerificationOutcome]]) -> dict:
+    """The metrics report: ``empty``, the ``overall`` row and one row per
+    iteration, in iteration order; percentages are rounded to one decimal."""
     by_iteration: dict[int, list[VerificationOutcome]] = {}
     for iteration, outcome in outcomes:
         by_iteration.setdefault(iteration, []).append(outcome)
-    rows = tuple(
-        _row(f"iteration {iteration}", by_iteration[iteration])
-        for iteration in sorted(by_iteration)
-    )
     overall = _row("all", [o for _, o in outcomes])
-    return MetricsReport(overall=overall, per_iteration=rows)
+    return {
+        "empty": overall["total"] == 0,
+        "overall": overall,
+        "per_iteration": [
+            _row(f"iteration {iteration}", by_iteration[iteration]) for iteration in sorted(by_iteration)
+        ],
+    }
 
 
-METRICS_COLUMNS = ("Valid", "Invalid", "Valid and non-Redundant", "Valid but Redundant")
+# (column title, row key) of each percentage column, in the standard report layout
+METRICS_COLUMNS = (
+    ("Valid", "valid_pct"),
+    ("Invalid", "invalid_pct"),
+    ("Valid and non-Redundant", "valid_non_redundant_pct"),
+    ("Valid but Redundant", "valid_redundant_pct"),
+)
 
 
-def render_metrics(report: MetricsReport) -> str:
-    """Aligned text table; column order mirrors the standard report layout."""
-    header = ["Group"] + list(METRICS_COLUMNS) + ["N"]
+def render_metrics(report: dict) -> str:
+    """Aligned text table of an ``aggregate_metrics`` report."""
+    header = ["Group"] + [title for title, _ in METRICS_COLUMNS] + ["N"]
     rows = [header]
-    for row in report.per_iteration + (report.overall,):
-        rows.append(
-            [
-                row.label,
-                f"{row.valid_pct:.1f}",
-                f"{row.invalid_pct:.1f}",
-                f"{row.non_redundant_pct:.1f}",
-                f"{row.redundant_pct:.1f}",
-                str(row.total),
-            ]
-        )
+    for row in report["per_iteration"] + [report["overall"]]:
+        rows.append([row["label"], *(f"{row[key]:.1f}" for _, key in METRICS_COLUMNS), str(row["total"])])
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
     lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(r)).rstrip() for r in rows]
-    if report.empty:
+    if report["empty"]:
         lines.append("(no outcomes)")
     return "\n".join(lines)
-
-
-def metrics_to_dict(report: MetricsReport) -> dict:
-    def row_dict(row: MetricsRow) -> dict:
-        return {
-            "label": row.label,
-            "total": row.total,
-            "valid": row.valid,
-            "invalid": row.invalid,
-            "valid_pct": row.valid_pct,
-            "invalid_pct": row.invalid_pct,
-            "valid_non_redundant": row.non_redundant,
-            "valid_redundant": row.redundant,
-            "valid_non_redundant_pct": row.non_redundant_pct,
-            "valid_redundant_pct": row.redundant_pct,
-        }
-
-    return {
-        "empty": report.empty,
-        "overall": row_dict(report.overall),
-        "per_iteration": [row_dict(r) for r in report.per_iteration],
-    }
 
 
 # -- case files ---------------------------------------------------------------

@@ -53,6 +53,10 @@ def test_transcript_from_json_validates_entries():
         MockTranscript.from_json(json.dumps({"role": "semantic"}))
     with pytest.raises(ChatError):
         MockTranscript.from_json(json.dumps([{"role": "semantic"}]))
+    for bad in ({"match": 5}, {"response": ["Premises:", "1. a"]}):
+        entry = {"role": "semantic", "match": "a", "response": "b", **bad}
+        with pytest.raises(ChatError, match="malformed transcript entry"):
+            MockTranscript.from_json(json.dumps([entry]))
 
 
 def test_mock_records_requests():

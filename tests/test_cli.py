@@ -429,6 +429,9 @@ def _bad_input(tmp_path, name: str, text: str) -> str:
             ["embeddings", "cache", "--embeddings", "{vectors}", "--limit", "-3", "--out", "{dir}/x.spemb"],
             2, "--limit must be >= 0, got -3", id="cache-negative-limit",
         ),
+        pytest.param(
+            ["prove", "{kb}", "--max-depth", "257"], 2, "max_depth must be in [1, 256]: 257", id="max-depth-over-cap",
+        ),
         pytest.param(["parse", "{bad_clause}"], 1, "line 1, column 14: expected ')'", id="bad-clause"),
         pytest.param(["verify", "{frog}", "--embeddings", "{bad_vectors}"], 1, "line 2: expected 2 components, got 1", id="bad-vector-line"),
     ],
@@ -442,6 +445,7 @@ def test_exit_code_contract(tmp_path, capsys, argv, code, message):
         "manifest_string": _bad_input(tmp_path, "string.json", '"cases"'),
         "bad_clause": _bad_input(tmp_path, "bad.pl", "broken(clause"),
         "bad_vectors": _bad_input(tmp_path, "vectors.txt", "cat 1.0 0.0\ndog 1.0\n"),
+        "kb": _bad_input(tmp_path, "kb.pl", GOOD_KB),
     }
     got, out, err = _run(capsys, *(arg.format(**paths) for arg in argv))
     assert (got, out) == (code, "")

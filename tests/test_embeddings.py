@@ -5,6 +5,7 @@ import io
 import os
 import random
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,16 @@ def test_dimension_mismatch_reports_line():
 def test_format_error_on_non_numeric():
     with pytest.raises(EmbeddingError, match=r"^line 1: non-numeric vector component$"):
         load_embeddings(_stream("cat 1.0 zero 0.0\n"))
+
+
+@pytest.mark.parametrize("numeral", ["nan", "inf", "1e39"])  # 1e39 overflows float32 to inf
+def test_non_finite_component_names_its_token(numeral):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is an error, not a warning
+        with pytest.raises(EmbeddingError, match=r"^token 'kick' has a non-finite vector component$"):
+            load_embeddings(_stream(f"harm 1.0 0.0\nkick {numeral} 0.0\ndog 0.0 1.0\n"))
+        with pytest.raises(EmbeddingError, match=r"^token 'kick' has a non-finite vector component$"):
+            EmbeddingStore(2, {"harm": [1.0, 0.0], "kick": [float(numeral), 0.0], "dog": [0.0, 1.0]})
 
 
 def test_empty_source():

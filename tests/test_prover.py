@@ -23,6 +23,7 @@ from softprove.logic import (
 )
 from softprove.ruleparse import parse_rule
 from softprove.prover import (
+    MAX_DEPTH,
     ConfigError,
     SolverConfig,
     candidate_rules,
@@ -68,6 +69,9 @@ def test_config_validation():
         SolverConfig(proof_threshold=1.5)
     with pytest.raises(ConfigError):
         SolverConfig(max_depth=0)
+    SolverConfig(max_depth=MAX_DEPTH)
+    with pytest.raises(ConfigError, match=f"max_depth must be in \\[1, {MAX_DEPTH}\\]"):
+        SolverConfig(max_depth=MAX_DEPTH + 1)
 
 
 # -- atom unification -------------------------------------------------------------
@@ -294,6 +298,18 @@ def test_depth_limit_cuts_chains():
     shallow = prove_goal(kb, kb.goals[0], EMPTY_STORE, SolverConfig(max_depth=4))
     assert shallow is None
     assert max(_chain_depths(deep.proof)) <= 10
+
+
+def test_a_chain_as_deep_as_the_cap_proves_without_recursion_error():
+    # 256 steps: the goal's rule, the 254 links and the fact at the end.
+    clauses = ["violate_care_physical(X,Y) :- c0(X)."]
+    clauses += [f"c{i}(X) :- c{i + 1}(X)." for i in range(MAX_DEPTH - 2)]
+    clauses.append(f"c{MAX_DEPTH - 2}(action).")
+    kb = _kb(*clauses)
+    at_cap = prove_goal(kb, kb.goals[0], EMPTY_STORE, SolverConfig(max_depth=MAX_DEPTH))
+    assert at_cap is not None
+    assert max(_chain_depths(at_cap.proof)) == MAX_DEPTH
+    assert prove_goal(kb, kb.goals[0], EMPTY_STORE, SolverConfig(max_depth=MAX_DEPTH - 1)) is None
 
 
 def _chain_depths(step, depth=1):

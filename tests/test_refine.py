@@ -5,7 +5,7 @@ import pytest
 
 from softprove.chat import ChatError, MockTranscript, TranscriptEntry
 from softprove.logic import MoralViolation
-from softprove.prompts import PromptRole, template
+from softprove.prompts import ABDUCE, AUTOFORMALIZE, DEDUCE, SEMANTIC
 from softprove.refine import (
     CaseSeed,
     RefineAborted,
@@ -51,19 +51,19 @@ def _prison_client():
 
 
 def test_every_role_has_a_template():
-    for role in PromptRole:
-        assert template(role).role is role
+    prompts = (SEMANTIC, AUTOFORMALIZE, ABDUCE, DEDUCE)
+    assert [p.role for p in prompts] == ["semantic", "autoformalize", "abduce", "deduce"]
 
 
 def test_render_fills_slots():
-    messages = template(PromptRole.DEDUCE).render(facts="1. a fact")
+    messages = DEDUCE.render(facts="1. a fact")
     assert messages[0][0] == "system"
     assert "1. a fact" in messages[1][1]
 
 
 def test_render_missing_slot_is_error():
     with pytest.raises(KeyError, match="principles"):
-        template(PromptRole.SEMANTIC).render(statement="s", frame="f")  # principles missing
+        SEMANTIC.render(statement="s", frame="f")  # principles missing
 
 
 # -- parsers ------------------------------------------------------------------------

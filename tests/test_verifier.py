@@ -17,7 +17,6 @@ from softprove.verifier import (
     aggregate_metrics,
     assemble_kb,
     case_from_dict,
-    metrics_to_dict,
     render_metrics,
     verify_case,
 )
@@ -129,9 +128,9 @@ def _outcome(kind: OutcomeKind) -> VerificationOutcome:
 
 def test_empty_metrics_report():
     report = aggregate_metrics([])
-    assert report.empty
-    assert report.overall.total == 0
-    assert report.overall.valid_pct == 0.0
+    assert report["empty"]
+    assert report["overall"]["total"] == 0
+    assert report["overall"]["valid_pct"] == 0.0
     assert "(no outcomes)" in render_metrics(report)
 
 
@@ -143,10 +142,10 @@ def test_small_report_arithmetic():
         (0, _outcome(OutcomeKind.INVALID_MISMATCH)),
     ]
     report = aggregate_metrics(outcomes)
-    assert report.overall.valid_pct == 50.0
-    assert report.overall.invalid_pct == 50.0
-    assert report.overall.non_redundant_pct == 50.0
-    assert report.overall.redundant_pct == 50.0
+    assert report["overall"]["valid_pct"] == 50.0
+    assert report["overall"]["invalid_pct"] == 50.0
+    assert report["overall"]["valid_non_redundant_pct"] == 50.0
+    assert report["overall"]["valid_redundant_pct"] == 50.0
 
 
 def _find_table_shaped_multiset():
@@ -174,11 +173,11 @@ def test_row_shape_from_constructed_multiset():
         + [(3, _outcome(OutcomeKind.INVALID_NO_PROOF))] * (166 - valid)
     )
     report = aggregate_metrics(outcomes)
-    row = report.per_iteration[0]
-    assert row.label == "iteration 3"
-    assert (row.valid_pct, row.invalid_pct) == (65.1, 34.9)
-    assert (row.non_redundant_pct, row.redundant_pct) == (95.4, 4.6)
-    assert row.non_redundant_pct + row.redundant_pct == 100.0
+    row = report["per_iteration"][0]
+    assert row["label"] == "iteration 3"
+    assert (row["valid_pct"], row["invalid_pct"]) == (65.1, 34.9)
+    assert (row["valid_non_redundant_pct"], row["valid_redundant_pct"]) == (95.4, 4.6)
+    assert row["valid_non_redundant_pct"] + row["valid_redundant_pct"] == 100.0
 
 
 def test_redundancy_split_sums_to_100_within_valid_subset():
@@ -187,10 +186,10 @@ def test_redundancy_split_sums_to_100_within_valid_subset():
     for _ in range(100):
         outcomes = [(rng.randint(0, 3), _outcome(rng.choice(kinds))) for _ in range(rng.randint(1, 60))]
         report = aggregate_metrics(outcomes)
-        for row in report.per_iteration + (report.overall,):
-            assert row.valid_pct + row.invalid_pct == pytest.approx(100.0, abs=0.1)
-            if row.valid:
-                assert row.non_redundant_pct + row.redundant_pct == pytest.approx(100.0, abs=0.1)
+        for row in report["per_iteration"] + [report["overall"]]:
+            assert row["valid_pct"] + row["invalid_pct"] == pytest.approx(100.0, abs=0.1)
+            if row["valid"]:
+                assert row["valid_non_redundant_pct"] + row["valid_redundant_pct"] == pytest.approx(100.0, abs=0.1)
 
 
 def test_metrics_permutation_invariance_100_instances():
@@ -213,8 +212,36 @@ def test_render_metrics_column_order():
     assert valid_pos < invalid_pos < non_redundant_pos < redundant_pos
 
 
+def test_render_metrics_golden_text():
+    kinds = [
+        (2, OutcomeKind.VALID_NON_REDUNDANT),
+        (0, OutcomeKind.VALID_NON_REDUNDANT),
+        (0, OutcomeKind.VALID_REDUNDANT),
+        (0, OutcomeKind.INVALID_NO_PROOF),
+        (1, OutcomeKind.INVALID_MISMATCH),
+        (1, OutcomeKind.INVALID_NO_PROOF),
+        (2, OutcomeKind.VALID_NON_REDUNDANT),
+        (2, OutcomeKind.VALID_REDUNDANT),
+        (1, OutcomeKind.INVALID_NO_PROOF),
+        (0, OutcomeKind.VALID_NON_REDUNDANT),
+    ]
+    report = aggregate_metrics([(iteration, _outcome(kind)) for iteration, kind in kinds])
+    assert render_metrics(report) == (
+        "Group        Valid  Invalid  Valid and non-Redundant  Valid but Redundant  N\n"
+        "iteration 0  75.0   25.0     66.7                     33.3                 4\n"
+        "iteration 1  0.0    100.0    0.0                      0.0                  3\n"
+        "iteration 2  100.0  0.0      66.7                     33.3                 3\n"
+        "all          60.0   40.0     66.7                     33.3                 10"
+    )
+    assert render_metrics(aggregate_metrics([])) == (
+        "Group  Valid  Invalid  Valid and non-Redundant  Valid but Redundant  N\n"
+        "all    0.0    0.0      0.0                      0.0                  0\n"
+        "(no outcomes)"
+    )
+
+
 def test_metrics_json_shape():
-    payload = metrics_to_dict(aggregate_metrics([(1, _outcome(OutcomeKind.VALID_REDUNDANT))]))
+    payload = aggregate_metrics([(1, _outcome(OutcomeKind.VALID_REDUNDANT))])
     assert payload["overall"]["valid"] == 1
     assert payload["per_iteration"][0]["label"] == "iteration 1"
 
