@@ -11,7 +11,9 @@ it exists: ``prove --json`` on each ``large_kb`` KB, ``verify --json`` on each
 ``--json``, and ``refine --json`` on each ``refine`` seed with its planted
 iteration budget.  On the shipped data, ``corpus verify`` also runs over
 variants of the frog case at iterations 0, 1 and 2 and over an empty
-manifest.  The bad-input commands give the exit codes and ``error:`` lines.
+manifest, and ``prove`` runs on a rule with a 1,200-atom body and on a KB
+whose search finds no proof after 4^9 paths.  The bad-input commands give
+the exit codes and ``error:`` lines.
 
 For each command NAME it writes ``NAME.out``, ``NAME.err`` and ``NAME.code`` to
 OUTDIR, with the checkout's path replaced by ``<ROOT>`` and OUTDIR's by
@@ -60,9 +62,19 @@ def shipped_commands(data: Path, work: Path, out: Path) -> list[tuple[str, list[
         "violate_care_physical(X,Y) :- harm(X). = 1.0\nkick(action).\ngoal <- violate_care_physical(action,patient).\n",
         "utf-8",
     )
-    # A chain longer than any depth the search's stack can reach.
+    goal = "goal <- violate_care_physical(action,patient)."
+    # A chain deeper than the depth cap.
     chain = ["violate_care_physical(X,Y) :- p0(X).", *(f"p{i}(X) :- p{i + 1}(X)." for i in range(1200))]
-    (work / "chain.pl").write_text("\n".join([*chain, "goal <- violate_care_physical(action,patient)."]), "utf-8")
+    (work / "chain.pl").write_text("\n".join([*chain, goal]), "utf-8")
+    # One rule with a 1,200-atom body, and its facts.
+    body = ", ".join(f"q{i}(X)" for i in range(1200))
+    facts = [f"q{i}(action)." for i in range(1200)]
+    (work / "long_body.pl").write_text("\n".join([f"violate_care_physical(X,Y) :- {body}.", *facts, goal]), "utf-8")
+    # Nine levels of four alternative rules, down to a predicate with no
+    # rule: 4^9 paths and no proof.
+    dead_end = [f"violate_care_physical(X,Y) :- p0(X). = 0.9{9 - a}" for a in range(4)]
+    dead_end += [f"p{i}(X) :- p{i + 1}(X). = 0.9{9 - a}" for i in range(8) for a in range(4)]
+    (work / "dead_end.pl").write_text("\n".join([*dead_end, goal]), "utf-8")
 
     # The frog case at iterations 0, 1 and 2: every outcome kind, and an
     # iteration (1) with no valid outcome, whose redundancy columns print 0.0.
@@ -101,6 +113,9 @@ def shipped_commands(data: Path, work: Path, out: Path) -> list[tuple[str, list[
         ("corpus-iterations-json", ["corpus", "verify", str(work / "iterations.json"), *vectors, "--json"]),
         ("corpus-empty", ["corpus", "verify", str(work / "empty.json"), *vectors]),
         ("corpus-empty-json", ["corpus", "verify", str(work / "empty.json"), *vectors, "--json"]),
+        ("prove-long-body", ["prove", str(work / "long_body.pl")]),
+        ("prove-long-body-json", ["prove", str(work / "long_body.pl"), "--json"]),
+        ("prove-dead-end", ["prove", str(work / "dead_end.pl")]),
         # bad input: each ends in exit 1, 2 or 4 and one `error:` line
         ("error-bad-clause", ["parse", str(work / "bad.pl")]),
         ("error-clause-positions", ["parse", str(work / "bad_lines.pl")]),

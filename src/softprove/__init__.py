@@ -19,7 +19,6 @@ from .prover import (
     prove_all_goals,
     prove_goal,
     render_proof,
-    weak_unify_atoms,
 )
 from .refine import CaseSeed, RefineConfig, RefineTrace, refine_loop
 from .ruleparse import RuleDocument, parse_kb, parse_rule, serialize

@@ -32,8 +32,9 @@ The vector flags are ``--embeddings``, ``--embeddings-cache`` and ``--limit``;
 the last two need the first, and ``--limit`` must not be negative.
 The solver flags are the solver's three settings and no other:
 ``--unify-threshold``, ``--proof-threshold`` and ``--max-depth``; the last
-is at most 256 (``prover.MAX_DEPTH``), since a deeper search would overflow
-the interpreter's stack.  Goal constants name SRL role slots and match by
+is at most 256 (``prover.MAX_DEPTH``), since the proof's text and JSON
+renderers recurse once per level and a much deeper proof would overflow the
+interpreter's stack.  Goal constants name SRL role slots and match by
 equality only, and every reported proof clears the proof threshold.
 """
 

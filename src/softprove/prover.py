@@ -31,6 +31,19 @@ the search still reaches, so neither can change the best proof.
   cut stops definitional cycles (``p :- q`` beside ``q :- p``) from being
   unrolled down to ``max_depth``.
 
+The search is one loop (``_Search.proofs``) over linked lists and a stack,
+so it takes no interpreter stack per level or per body atom.  The goals left
+to prove are a linked list, the next goal first; applying a rule puts its
+body atoms in front of the rest.  A goal is opened when the loop reaches it:
+the depth limit and the ancestor cut apply there, and a goal that passes
+both and has candidates pushes a choice point, which holds its candidates
+not yet tried with the rest of the goal list, θ, the running product and
+the steps as they were at the goal.  The loop always goes on from the
+newest choice point, which gives the depth-first order, and applies the
+bound as it draws each candidate.  The rule applications of a proof are a
+linked list of steps, newest first: the proof tree in reverse pre-order.
+Only the best proof's steps are built into a ``ProofStep`` tree.
+
 Each goal's candidates are the rules whose head can unify with it, in
 knowledge-base order: the heads of the same arity whose predicate is the
 goal's or scores at or above the unify threshold (``candidate_rules``).  The
@@ -91,10 +104,11 @@ class ConfigError(ValueError):
 # its result ``budget_exceeded``.
 MAX_PROOFS_PER_GOAL = 10_000
 
-# The deepest ``max_depth`` a config accepts.  The search nests about two
-# generator frames per level, so a deeper one would overflow the
-# interpreter's default recursion limit of 1,000; this leaves room for the
-# callers' own stack.
+# The deepest ``max_depth`` a config accepts.  The search takes no stack per
+# level, but the readers of its proof tree recurse once per level
+# (``ProofStep.walk``, ``render_proof``, ``proof_to_dict``), so a proof much
+# deeper than this would overflow the interpreter's default recursion limit
+# of 1,000; this leaves room for the callers' own stack.
 MAX_DEPTH = 256
 
 
@@ -140,7 +154,6 @@ class ProofResult:
     violation: MoralViolation
     proof: ProofStep
     proof_score: float
-    used_rule_ids: frozenset[str]
     used_fact_ids: frozenset[str]  # the ``fact_id`` of every rule in the proof that has one
     budget_exceeded: bool = False
 
@@ -226,10 +239,11 @@ def candidate_rules(
 # predicate, the arguments are variable numbers and constants not under θ.
 _Ancestors = Optional[tuple[Atom, tuple[Slot, ...], "_Ancestors"]]
 
-# A proof tree during the search: (goal atom, goal arguments, rule, unify
-# score, children).  The arguments are not under θ; ``_materialize`` builds
-# the ``ProofStep`` tree of the best proof from it.
-_Node = tuple[Atom, tuple[Slot, ...], Rule, float, tuple["_Node", ...]]
+# The rule applications of a proof, newest first, as linked ``(goal atom, goal
+# arguments, rule, unify score, rest)`` tuples ending in None: the proof tree
+# in reverse pre-order.  The arguments are not under θ; ``_materialize``
+# builds the ``ProofStep`` tree of the best proof from them.
+_Steps = Optional[tuple[Atom, tuple[Slot, ...], Rule, float, "_Steps"]]
 
 
 def _repeats_ancestor(goal: Atom, args: tuple[Slot, ...], theta: Bindings, ancestors: _Ancestors) -> bool:
@@ -245,14 +259,12 @@ def _repeats_ancestor(goal: Atom, args: tuple[Slot, ...], theta: Bindings, ances
     return False
 
 
-def _rules(node: _Node) -> list[Rule]:
-    """The rule of every step of a proof tree, one per step."""
+def _rules(steps: _Steps) -> list[Rule]:
+    """The rule of every step of a proof, one per step."""
     rules = []
-    stack = [node]
-    while stack:
-        _, _, rule, _, children = stack.pop()
+    while steps is not None:
+        _, _, rule, _, steps = steps
         rules.append(rule)
-        stack.extend(children)
     return rules
 
 
@@ -261,69 +273,83 @@ class _Search:
         self.kb = kb
         self.store = store
         self.config = config
-        self._next_frame = 0  # variable numbers given to frames so far
         # A candidate whose running product falls below this is skipped: the
         # proof threshold, raised by ``run`` to the best score found so far.
         self._bound = self.config.proof_threshold
 
-    def solve(
-        self, goal: Atom, args: tuple[Slot, ...], theta: Bindings, depth: int, running: float, ancestors: _Ancestors
-    ) -> Iterator[tuple[Bindings, _Node, float]]:
-        """Yield (θ, proof tree, running score) for the goal ``goal`` whose
-        arguments are ``args``."""
-        if depth > self.config.max_depth or _repeats_ancestor(goal, args, theta, ancestors):
-            return
-        lineage = (goal, args, ancestors)
-        for rule, score in candidate_rules(self.kb, goal, self.store, self.config):
-            running1 = running * (score * rule.score)
-            if running1 < self._bound:
-                continue
-            frame = self._next_frame
-            self._next_frame += rule.template.size
-            theta1 = weak_unify_atoms(args, rule.head, rule.template.head, frame, theta)
-            if theta1 is None:
-                continue
-            for theta2, children, running2 in self._solve_body(rule, frame, 0, theta1, depth, running1, lineage):
-                yield theta2, (goal, args, rule, score, children), running2
+    def proofs(self, goal: Atom, args: tuple[Slot, ...]) -> Iterator[tuple[Bindings, _Steps, float]]:
+        """Yield (θ, steps, running score) for each complete proof of the goal
+        ``goal`` whose arguments are ``args``, in depth-first order.
 
-    def _solve_body(
-        self, rule: Rule, frame: int, position: int, theta: Bindings, depth: int, running: float, ancestors: _Ancestors
-    ) -> Iterator[tuple[Bindings, tuple[_Node, ...], float]]:
-        """Prove ``rule``'s body atoms from ``position`` on, its slots at ``frame``."""
-        if position == len(rule.body):
-            yield theta, (), running
-            return
-        args = tuple([s + frame if isinstance(s, int) else s for s in rule.template.body[position]])
-        for theta1, node, running1 in self.solve(rule.body[position], args, theta, depth + 1, running, ancestors):
-            rest = self._solve_body(rule, frame, position + 1, theta1, depth, running1, ancestors)
-            for theta2, tail, running2 in rest:
-                yield theta2, (node,) + tail, running2
+        The goals left to prove are linked ``((atom, slots, frame, depth,
+        ancestors), rest)`` pairs; a goal's arguments are its slots shifted by
+        ``frame``.  Each opened goal with candidates pushes a choice point,
+        ``(candidates left, goal, arguments, depth, ancestors, rest, θ,
+        running, steps)`` as they were when it was opened; the loop always
+        goes on from the newest one.
+        """
+        kb, store, config = self.kb, self.store, self.config
+        goals = ((goal, args, 0, 1, None), None)
+        theta, running, steps = {}, 1.0, None
+        choices = []
+        next_frame = 0  # variable numbers given to frames so far
+        while True:
+            if goals is None:
+                yield theta, steps, running
+            else:
+                (goal, slots, frame, depth, ancestors), rest = goals
+                args = tuple([s + frame if isinstance(s, int) else s for s in slots])
+                if depth <= config.max_depth and not _repeats_ancestor(goal, args, theta, ancestors):
+                    candidates = candidate_rules(kb, goal, store, config)
+                    if candidates:
+                        choices.append((iter(candidates), goal, args, depth, ancestors, rest, theta, running, steps))
+            while choices:
+                candidates, goal, args, depth, ancestors, rest, theta, running, steps = choices[-1]
+                for rule, score in candidates:
+                    running1 = running * (score * rule.score)
+                    if running1 < self._bound:
+                        continue
+                    frame = next_frame
+                    next_frame += rule.template.size
+                    theta1 = weak_unify_atoms(args, rule.head, rule.template.head, frame, theta)
+                    if theta1 is not None:
+                        break
+                else:
+                    choices.pop()
+                    continue
+                lineage = (goal, args, ancestors)
+                goals = rest
+                for atom, slots in zip(reversed(rule.body), reversed(rule.template.body)):
+                    goals = ((atom, slots, frame, depth + 1, lineage), goals)
+                theta, running, steps = theta1, running1, (goal, args, rule, score, steps)
+                break
+            else:
+                return
 
     def run(self, spec: GoalSpec) -> Optional[ProofResult]:
         goal_variables = list(dict.fromkeys(spec.goal_atom.variables()))
         args = tuple(-1 - goal_variables.index(t) if isinstance(t, Variable) else t for t in spec.goal_atom.args)
-        best = None  # (ranking key, tree, θ); the smallest key wins, the first on a tie
+        best = None  # (ranking key, steps, θ); the smallest key wins, the first on a tie
         complete = 0
         truncated = False
-        for theta, node, score in self.solve(spec.goal_atom, args, {}, 1, 1.0, None):
+        for theta, steps, score in self.proofs(spec.goal_atom, args):
             complete += 1
             if complete > MAX_PROOFS_PER_GOAL:
                 truncated = True
                 break
-            rules = _rules(node)
+            rules = _rules(steps)
             key = (-score, len(rules), tuple(sorted({rule.id for rule in rules})))
             if best is None or key < best[0]:
-                best = (key, node, theta)
+                best = (key, steps, theta)
                 self._bound = score  # a branch below the best score can only end in a worse key
         if best is None:
             return None
-        (neg_score, _, rule_ids), node, theta = best
+        (neg_score, _, _), steps, theta = best
         return ProofResult(
             violation=spec.violation,
-            proof=_materialize(node, theta, goal_variables),
+            proof=_materialize(steps, theta, goal_variables),
             proof_score=-neg_score,
-            used_rule_ids=frozenset(rule_ids),
-            used_fact_ids=frozenset(rule.fact_id for rule in _rules(node) if rule.fact_id is not None),
+            used_fact_ids=frozenset(rule.fact_id for rule in _rules(steps) if rule.fact_id is not None),
             budget_exceeded=truncated,
         )
 
@@ -332,12 +358,16 @@ class _Search:
 _FRESH_NAME = re.compile(r"V(0|[1-9][0-9]*)\Z")
 
 
-def _materialize(node: _Node, theta: Bindings, goal_variables: Sequence[Variable]) -> ProofStep:
+def _materialize(steps: _Steps, theta: Bindings, goal_variables: Sequence[Variable]) -> ProofStep:
     """The ``ProofStep`` tree of a proof, its goals under ``theta``.
 
     Goal variable ``-1 - i`` is ``goal_variables[i]``.  Frame variable ``k``,
     if the proof leaves it unbound, is named ``V<n>`` for the ``k``-th
     ``n`` (from 0) whose name is not one of the goal's own variables.
+
+    The steps come newest first, so each step's subtrees are built before
+    it: the step takes the last ``len(rule.body)`` built, the newest being
+    its first child.
     """
     taken = sorted(int(m.group(1)) for v in goal_variables if (m := _FRESH_NAME.match(v.name)))
     fresh: dict[int, Variable] = {}
@@ -357,16 +387,14 @@ def _materialize(node: _Node, theta: Bindings, goal_variables: Sequence[Variable
             variable = fresh[slot] = Variable(f"V{n}")
         return variable
 
-    def build(node: _Node) -> ProofStep:
-        goal, args, rule, score, children = node
-        return ProofStep(
-            goal_atom=Atom(goal.predicate, tuple(term(a) for a in args)),
-            rule_id=rule.id,
-            unification_score=score,
-            children=tuple(build(child) for child in children),
-        )
-
-    return build(node)
+    built: list[ProofStep] = []
+    while steps is not None:
+        goal, args, rule, score, steps = steps
+        split = len(built) - len(rule.body)
+        children = tuple(reversed(built[split:]))
+        del built[split:]
+        built.append(ProofStep(Atom(goal.predicate, tuple(term(a) for a in args)), rule.id, score, children))
+    return built[0]
 
 
 def prove_goal(

@@ -2,7 +2,8 @@
 named substitutions and renaming that the search's numbered ones are checked
 against, the per-pair predicate rule that the candidate scan is checked
 against, the proof walk that ``ProofResult.used_fact_ids`` is checked
-against, and seeded random generators for knowledge bases and rule documents.
+against, and seeded random generators for knowledge bases, rule documents
+and adversarial KB texts.
 
 The oracle re-implements proof enumeration from scratch (plain dicts, an
 explicit stack, no pruning, no candidate ranking) so the solver's best proof
@@ -433,3 +434,102 @@ def random_document(rng: random.Random, max_rules: int = 6) -> RuleDocument:
         for p in rng.sample(_GOAL_PREDICATES, rng.randint(0, 2))
     )
     return RuleDocument(rules=rules, goal_decls=goal_decls)
+
+
+# -- adversarial knowledge bases ------------------------------------------------
+#
+# KB shapes that an LLM may emit and that stress the search.  Each generator
+# returns the KB's text, the extra ``prove`` flags it needs, and the most
+# ``weak_unify_atoms`` calls one search of it may make.
+
+_ADVERSARIAL_GOAL = "goal <- violate_care_physical(action,patient)."
+
+
+def _adversarial_text(clauses: list[str]) -> str:
+    return "\n".join([*clauses, _ADVERSARIAL_GOAL]) + "\n"
+
+
+def definitional_cycles_kb(rng: random.Random) -> tuple[str, list[str], int]:
+    """Definitional rules ``c<i>(...) :- c<j>(...)`` among ``k`` predicates, each
+    with one or two outgoing edges, so that cycles of any length up to ``k``
+    appear; arguments may swap along an edge.  A fact ends some of them.
+
+    The bound is about four times the most that 200 of these KBs take; the
+    ancestor cut is what keeps them under it (without it, up to 1,279)."""
+    k = rng.randint(2, 6)
+    pair = ("X", "Y")
+    clauses = ["violate_care_physical(X,Y) :- c0(X,Y)."]
+    for i in range(k):
+        for j in rng.sample(range(k), rng.randint(1, 2)):
+            body = pair if rng.random() < 0.5 else pair[::-1]
+            clauses.append(f"c{i}(X,Y) :- c{j}({','.join(body)}). = {rng.choice(('1.0', '0.9'))}")
+    if rng.random() < 0.5:
+        clauses.append(f"c{rng.randrange(k)}(action,patient).")
+    rng.shuffle(clauses)
+    return _adversarial_text(clauses), [], 400
+
+
+def long_body_kb(rng: random.Random) -> tuple[str, list[str], int]:
+    """One rule with a body of up to 1,200 atoms, one fact for each body atom
+    but perhaps one: each goal has one candidate, so a search unifies at most
+    once per atom and once for the rule."""
+    n = rng.choice((1, 2, rng.randint(3, 1200), 1200))
+    atoms = [f"q{i}(X)" if rng.random() < 0.5 else f"q{i}(X,Y)" for i in range(n)]
+    facts = [a.replace("X", "action").replace("Y", "patient") + "." for a in atoms]
+    if rng.random() < 0.25:
+        del facts[rng.randrange(n)]
+    return _adversarial_text([f"violate_care_physical(X,Y) :- {', '.join(atoms)}.", *facts]), [], n + 1
+
+
+def tying_proofs_kb(rng: random.Random) -> tuple[str, list[str], int]:
+    """``copies`` facts ``p(action)`` under a body of ``m`` atoms ``p(X)``:
+    ``copies ** m`` proofs scoring 1.0, under the proof budget.  Nothing is
+    cut, so a search unifies once per node of the tree of partial proofs."""
+    m = rng.randint(1, 3)
+    copies = rng.randint(2, int(9_999 ** (1 / m)))
+    clauses = [f"violate_care_physical(X,Y) :- {', '.join(['p(X)'] * m)}.", *["p(action)."] * copies]
+    return _adversarial_text(clauses), [], sum(copies**i for i in range(m + 1))
+
+
+def arity_three_kb(rng: random.Random) -> tuple[str, list[str], int]:
+    """Three layers of arity-3 predicates whose rules permute and share their
+    variables and may name role constants; the last layer holds facts.  The
+    bound is over twice the most that 200 of these KBs take."""
+    layers = [[f"t{level}x{i}" for i in range(rng.randint(1, 3))] for level in range(3)]
+
+    def atom(predicate: str, variables: bool) -> str:
+        terms = ("X", "Y", "Z", "action", "patient") if variables else ("action", "patient")
+        return f"{predicate}({','.join(rng.choice(terms) for _ in range(3))})"
+
+    clauses = [f"violate_care_physical(X,Y) :- {atom(layers[0][0], True)}, {atom(rng.choice(layers[0]), True)}."]
+    for upper, lower in zip(layers, layers[1:]):
+        for predicate in upper:
+            for _ in range(rng.randint(1, 3)):
+                body = ", ".join(atom(rng.choice(lower), True) for _ in range(rng.randint(1, 2)))
+                clauses.append(f"{predicate}(X,Y,Z) :- {body}. = {rng.choice(('1.0', '0.8'))}")
+    clauses += [f"{atom(predicate, False)}." for predicate in layers[-1] for _ in range(rng.randint(1, 6))]
+    rng.shuffle(clauses)
+    return _adversarial_text(clauses), [], 5_000
+
+
+def chain_kb(rng: random.Random) -> tuple[str, list[str], int]:
+    """A chain of ``length`` steps, proved at ``--max-depth`` at or above its
+    length and not below: one candidate per goal, so at most one unification
+    per step."""
+    length = rng.randint(1, 256)
+    max_depth = rng.choice((length, length - 1, rng.randint(1, 256))) or 1
+    if length == 1:
+        clauses = ["violate_care_physical(action,patient)."]
+    else:
+        clauses = ["violate_care_physical(X,Y) :- c0(X).", *(f"c{i}(X) :- c{i + 1}(X)." for i in range(length - 2))]
+        clauses.append(f"c{length - 2}(action).")
+    return _adversarial_text(clauses), ["--max-depth", str(max_depth)], length
+
+
+ADVERSARIAL_FAMILIES = {
+    "definitional_cycles": definitional_cycles_kb,
+    "long_body": long_body_kb,
+    "tying_proofs": tying_proofs_kb,
+    "arity_three": arity_three_kb,
+    "chain": chain_kb,
+}

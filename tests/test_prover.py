@@ -237,7 +237,7 @@ def test_exact_chain_scores_one():
     result = prove_goal(kb, kb.goals[0], EMPTY_STORE, SolverConfig())
     assert result is not None
     assert result.proof_score == 1.0
-    assert result.used_rule_ids == {"r0", "r1", "r2"}
+    assert {s.rule_id for s in result.proof.walk()} == {"r0", "r1", "r2"}
     assert not result.budget_exceeded
 
 
@@ -250,7 +250,7 @@ def test_best_of_two_proofs_wins():
     )
     result = prove_goal(kb, kb.goals[0], EMPTY_STORE, SolverConfig())
     assert result.proof_score == pytest.approx(0.81)
-    assert result.used_rule_ids == {"r1", "r3"}
+    assert {s.rule_id for s in result.proof.walk()} == {"r1", "r3"}
 
 
 def test_no_rules_means_no_proof():
@@ -312,6 +312,32 @@ def test_a_chain_as_deep_as_the_cap_proves_without_recursion_error():
     assert prove_goal(kb, kb.goals[0], EMPTY_STORE, SolverConfig(max_depth=MAX_DEPTH - 1)) is None
 
 
+def test_search_takes_no_stack_per_body_atom_or_level():
+    # A 1,200-atom body and a chain as deep as the cap, under a recursion
+    # limit a few dozen frames above the caller's depth: the search must not
+    # recurse once per body atom or per level.
+    body = ["violate_care_physical(X,Y) :- " + ", ".join(f"q{i}(X)" for i in range(1200)) + "."]
+    wide = _kb(*body, *(f"q{i}(action)." for i in range(1200)))
+    chain = ["violate_care_physical(X,Y) :- c0(X)."]
+    chain += [f"c{i}(X) :- c{i + 1}(X)." for i in range(MAX_DEPTH - 2)]
+    chain.append(f"c{MAX_DEPTH - 2}(action).")
+    deep = _kb(*chain)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        wide_result = prove_goal(wide, wide.goals[0], EMPTY_STORE, SolverConfig())
+        deep_result = prove_goal(deep, deep.goals[0], EMPTY_STORE, SolverConfig(max_depth=MAX_DEPTH))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert wide_result is not None and wide_result.proof_score == 1.0
+    assert [step.rule_id for step in wide_result.proof.children] == [f"r{i}" for i in range(1, 1201)]
+    assert deep_result is not None and deep_result.proof_score == 1.0
+    assert max(_chain_depths(deep_result.proof)) == MAX_DEPTH
+
+
 def _chain_depths(step, depth=1):
     if not step.children:
         yield depth
@@ -328,7 +354,7 @@ def test_tie_break_prefers_fewer_steps():
     )
     result = prove_goal(kb, kb.goals[0], EMPTY_STORE, SolverConfig())
     assert result.proof_score == 1.0
-    assert result.used_rule_ids == {"r1", "r3"}  # two steps beat three
+    assert {s.rule_id for s in result.proof.walk()} == {"r1", "r3"}  # two steps beat three
 
 
 def test_tie_break_prefers_smaller_rule_ids():
@@ -339,7 +365,7 @@ def test_tie_break_prefers_smaller_rule_ids():
         "pb(action).",
     )
     result = prove_goal(kb, kb.goals[0], EMPTY_STORE, SolverConfig())
-    assert sorted(result.used_rule_ids) == ["r0", "r2"]
+    assert sorted({s.rule_id for s in result.proof.walk()}) == ["r0", "r2"]
 
 
 def test_budget_flag_on_truncation():
@@ -710,7 +736,7 @@ def _assert_oracle_best(result, expected) -> None:
     assert result is not None
     assert result.proof_score == score  # bitwise
     assert sum(1 for _ in result.proof.walk()) == steps
-    assert tuple(sorted(result.used_rule_ids)) == rule_ids
+    assert tuple(sorted({s.rule_id for s in result.proof.walk()})) == rule_ids
 
 
 def _assert_weak_suite_matches_oracle(seed: int) -> None:
@@ -808,20 +834,21 @@ def test_proof_through_a_variant_of_its_ancestor_is_found():
 
 
 def test_definitional_cycles_keep_the_frog_verdict_and_stay_cheap(monkeypatch, demo_store, frog_case):
-    # Cycle rules scored 1.0 used to be unrolled down to max_depth: 7,084
-    # solve calls for the frog case against 441 without them.
+    # Each goal the search opens scans for candidates once, so the scans
+    # count the goals opened: 64 for the frog case and 70 with the cycle
+    # rules scored 1.0.  Without the ancestor cut they are 236 and 885.
     from softprove import prover
     from softprove.verifier import verify_case
 
     calls = 0
-    solve = prover._Search.solve
+    scan = prover.candidate_rules
 
-    def counted(self, *args):
+    def counted(*args):
         nonlocal calls
         calls += 1
-        return solve(self, *args)
+        return scan(*args)
 
-    monkeypatch.setattr(prover._Search, "solve", counted)
+    monkeypatch.setattr(prover, "candidate_rules", counted)
     case, _ = frog_case
     kb = _frog_kb(frog_case)
     plain = verify_case(case, kb, demo_store)
@@ -855,7 +882,7 @@ def test_bound_skips_candidates_below_the_best_score(monkeypatch):
 
     monkeypatch.setattr(prover, "weak_unify_atoms", counted)
     result = prove_goal(kb, kb.goals[0], EMPTY_STORE, SolverConfig())
-    assert result.proof_score == 1.0 and result.used_rule_ids == {"r0", "r2"}
+    assert result.proof_score == 1.0 and {s.rule_id for s in result.proof.walk()} == {"r0", "r2"}
     assert tried == ["violate_care_physical", "h"]
 
 
