@@ -11,9 +11,10 @@ it exists: ``prove --json`` on each ``large_kb`` KB, ``verify --json`` on each
 ``--json``, and ``refine --json`` on each ``refine`` seed with its planted
 iteration budget.  On the shipped data, ``corpus verify`` also runs over
 variants of the frog case at iterations 0, 1 and 2 and over an empty
-manifest, and ``prove`` runs on a rule with a 1,200-atom body and on a KB
-whose search finds no proof after 4^9 paths.  The bad-input commands give
-the exit codes and ``error:`` lines.
+manifest, and ``prove`` runs on a rule with a 1,200-atom body, on a KB
+whose search finds no proof after 4^9 paths, and, in text and ``--json``, on
+a KB of 10,201 tying proofs that the proof budget cuts off.  The bad-input
+commands give the exit codes and ``error:`` lines.
 
 For each command NAME it writes ``NAME.out``, ``NAME.err`` and ``NAME.code`` to
 OUTDIR, with the checkout's path replaced by ``<ROOT>`` and OUTDIR's by
@@ -75,6 +76,9 @@ def shipped_commands(data: Path, work: Path, out: Path) -> list[tuple[str, list[
     dead_end = [f"violate_care_physical(X,Y) :- p0(X). = 0.9{9 - a}" for a in range(4)]
     dead_end += [f"p{i}(X) :- p{i + 1}(X). = 0.9{9 - a}" for i in range(8) for a in range(4)]
     (work / "dead_end.pl").write_text("\n".join([*dead_end, goal]), "utf-8")
+    # 101 * 101 tying proofs: the search stops at the proof budget.
+    budget = ["violate_care_physical(X,Y) :- p(X), p(X).", *["p(action)."] * 101]
+    (work / "budget.pl").write_text("\n".join([*budget, goal]), "utf-8")
 
     # The frog case at iterations 0, 1 and 2: every outcome kind, and an
     # iteration (1) with no valid outcome, whose redundancy columns print 0.0.
@@ -116,6 +120,8 @@ def shipped_commands(data: Path, work: Path, out: Path) -> list[tuple[str, list[
         ("prove-long-body", ["prove", str(work / "long_body.pl")]),
         ("prove-long-body-json", ["prove", str(work / "long_body.pl"), "--json"]),
         ("prove-dead-end", ["prove", str(work / "dead_end.pl")]),
+        ("prove-budget", ["prove", str(work / "budget.pl")]),
+        ("prove-budget-json", ["prove", str(work / "budget.pl"), "--json"]),
         # bad input: each ends in exit 1, 2 or 4 and one `error:` line
         ("error-bad-clause", ["parse", str(work / "bad.pl")]),
         ("error-clause-positions", ["parse", str(work / "bad_lines.pl")]),

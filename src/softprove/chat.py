@@ -127,11 +127,14 @@ class HttpChatClient:
             )
             response.raise_for_status()
             body = response.json()
-            return body["choices"][0]["message"]["content"]
+            content = body["choices"][0]["message"]["content"]
         except requests.RequestException as exc:
             raise ChatError(f"chat request failed: {exc}") from exc
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ChatError(f"malformed chat response: {exc}") from exc
+        if not isinstance(content, str):
+            raise ChatError(f"malformed chat response: content is {type(content).__name__}, not a string")
+        return content
 
 
 def default_model() -> str:

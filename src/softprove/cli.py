@@ -59,7 +59,7 @@ from .prover import (
     render_proof,
 )
 from .refine import CaseSeed, RefineAborted, RefineConfig, RefineError, RefineTrace, refine_loop
-from .ruleparse import format_rule, parse_kb, serialize
+from .ruleparse import parse_kb, serialize
 from .srl import frame_from_dict, frame_to_facts
 from .verifier import (
     MoralViolation,
@@ -119,7 +119,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
     doc = parse_kb(Path(args.kb).read_text("utf-8"))
     canonical = serialize(doc)
     payload = {
-        "rules": [format_rule(r) for r in doc.rules],
+        "rules": [r.text for r in doc.rules],
         "goals": [str(g.goal_atom) for g in doc.goal_decls],
         "canonical": canonical,
     }

@@ -16,7 +16,7 @@ the search still reaches, so neither can change the best proof.
 - *Bound.*  Every factor is at most 1.0, so a running product never rises.
   A candidate rule is skipped when the running product through it falls
   below the proof threshold, or below the best score found so far for the
-  goal.  Every proof yielded therefore clears the threshold.  The
+  goal.  Every complete proof therefore clears the threshold.  The
   comparison is strict, so a proof that ties the best score still reaches
   the step and rule-id tie-break.
 - *Ancestor.*  A subgoal whose atom under the current θ is identical to that
@@ -31,18 +31,21 @@ the search still reaches, so neither can change the best proof.
   cut stops definitional cycles (``p :- q`` beside ``q :- p``) from being
   unrolled down to ``max_depth``.
 
-The search is one loop (``_Search.proofs``) over linked lists and a stack,
-so it takes no interpreter stack per level or per body atom.  The goals left
-to prove are a linked list, the next goal first; applying a rule puts its
-body atoms in front of the rest.  A goal is opened when the loop reaches it:
-the depth limit and the ancestor cut apply there, and a goal that passes
-both and has candidates pushes a choice point, which holds its candidates
-not yet tried with the rest of the goal list, θ, the running product and
-the steps as they were at the goal.  The loop always goes on from the
-newest choice point, which gives the depth-first order, and applies the
-bound as it draws each candidate.  The rule applications of a proof are a
-linked list of steps, newest first: the proof tree in reverse pre-order.
-Only the best proof's steps are built into a ``ProofStep`` tree.
+The search is one function, ``prove_goal``: one loop over linked lists and a
+stack, so it takes no interpreter stack per level or per body atom.  The
+goals left to prove are a linked list, the next goal first; applying a rule
+puts its body atoms in front of the rest.  A goal is opened when the loop
+reaches it: the depth limit and the ancestor cut apply there, and a goal
+that passes both and has candidates pushes a choice point, which holds its
+candidates not yet tried with the rest of the goal list, θ, the running
+product and the steps as they were at the goal.  The loop always goes on
+from the newest choice point, which gives the depth-first order, and applies
+the bound as it draws each candidate.  When the goal list runs out, the same
+loop counts the proof, ranks it, raises the bound on a new best, and
+backtracks; the proof after the ``MAX_PROOFS_PER_GOAL``-th stops it.  The rule
+applications of a proof are a linked list of steps, newest first: the proof
+tree in reverse pre-order.  Only the best proof's steps are built into a
+``ProofStep`` tree.
 
 Each goal's candidates are the rules whose head can unify with it, in
 knowledge-base order: the heads of the same arity whose predicate is the
@@ -268,92 +271,6 @@ def _rules(steps: _Steps) -> list[Rule]:
     return rules
 
 
-class _Search:
-    def __init__(self, kb: KnowledgeBase, store: EmbeddingStore, config: SolverConfig) -> None:
-        self.kb = kb
-        self.store = store
-        self.config = config
-        # A candidate whose running product falls below this is skipped: the
-        # proof threshold, raised by ``run`` to the best score found so far.
-        self._bound = self.config.proof_threshold
-
-    def proofs(self, goal: Atom, args: tuple[Slot, ...]) -> Iterator[tuple[Bindings, _Steps, float]]:
-        """Yield (θ, steps, running score) for each complete proof of the goal
-        ``goal`` whose arguments are ``args``, in depth-first order.
-
-        The goals left to prove are linked ``((atom, slots, frame, depth,
-        ancestors), rest)`` pairs; a goal's arguments are its slots shifted by
-        ``frame``.  Each opened goal with candidates pushes a choice point,
-        ``(candidates left, goal, arguments, depth, ancestors, rest, θ,
-        running, steps)`` as they were when it was opened; the loop always
-        goes on from the newest one.
-        """
-        kb, store, config = self.kb, self.store, self.config
-        goals = ((goal, args, 0, 1, None), None)
-        theta, running, steps = {}, 1.0, None
-        choices = []
-        next_frame = 0  # variable numbers given to frames so far
-        while True:
-            if goals is None:
-                yield theta, steps, running
-            else:
-                (goal, slots, frame, depth, ancestors), rest = goals
-                args = tuple([s + frame if isinstance(s, int) else s for s in slots])
-                if depth <= config.max_depth and not _repeats_ancestor(goal, args, theta, ancestors):
-                    candidates = candidate_rules(kb, goal, store, config)
-                    if candidates:
-                        choices.append((iter(candidates), goal, args, depth, ancestors, rest, theta, running, steps))
-            while choices:
-                candidates, goal, args, depth, ancestors, rest, theta, running, steps = choices[-1]
-                for rule, score in candidates:
-                    running1 = running * (score * rule.score)
-                    if running1 < self._bound:
-                        continue
-                    frame = next_frame
-                    next_frame += rule.template.size
-                    theta1 = weak_unify_atoms(args, rule.head, rule.template.head, frame, theta)
-                    if theta1 is not None:
-                        break
-                else:
-                    choices.pop()
-                    continue
-                lineage = (goal, args, ancestors)
-                goals = rest
-                for atom, slots in zip(reversed(rule.body), reversed(rule.template.body)):
-                    goals = ((atom, slots, frame, depth + 1, lineage), goals)
-                theta, running, steps = theta1, running1, (goal, args, rule, score, steps)
-                break
-            else:
-                return
-
-    def run(self, spec: GoalSpec) -> Optional[ProofResult]:
-        goal_variables = list(dict.fromkeys(spec.goal_atom.variables()))
-        args = tuple(-1 - goal_variables.index(t) if isinstance(t, Variable) else t for t in spec.goal_atom.args)
-        best = None  # (ranking key, steps, θ); the smallest key wins, the first on a tie
-        complete = 0
-        truncated = False
-        for theta, steps, score in self.proofs(spec.goal_atom, args):
-            complete += 1
-            if complete > MAX_PROOFS_PER_GOAL:
-                truncated = True
-                break
-            rules = _rules(steps)
-            key = (-score, len(rules), tuple(sorted({rule.id for rule in rules})))
-            if best is None or key < best[0]:
-                best = (key, steps, theta)
-                self._bound = score  # a branch below the best score can only end in a worse key
-        if best is None:
-            return None
-        (neg_score, _, _), steps, theta = best
-        return ProofResult(
-            violation=spec.violation,
-            proof=_materialize(steps, theta, goal_variables),
-            proof_score=-neg_score,
-            used_fact_ids=frozenset(rule.fact_id for rule in _rules(steps) if rule.fact_id is not None),
-            budget_exceeded=truncated,
-        )
-
-
 # The names ``_materialize`` gives frame variables: ``V`` and a number.
 _FRESH_NAME = re.compile(r"V(0|[1-9][0-9]*)\Z")
 
@@ -403,8 +320,76 @@ def prove_goal(
     store: EmbeddingStore,
     config: SolverConfig = SolverConfig(),
 ) -> Optional[ProofResult]:
-    """Best-scoring complete proof of one goal, or None if nothing clears the bar."""
-    return _Search(kb, store, config).run(goal)
+    """Best-scoring complete proof of one goal, or None if nothing clears the bar.
+
+    The goals left to prove are linked ``((atom, slots, frame, depth,
+    ancestors), rest)`` pairs; a goal's arguments are its slots shifted by
+    ``frame``.  Each opened goal with candidates pushes a choice point,
+    ``(candidates left, atom, arguments, depth, ancestors, rest, θ, running,
+    steps)`` as they were when it was opened; the loop always goes on from
+    the newest one.  When the goal list is empty, the proof is complete: it
+    is counted and ranked, and the loop backtracks to look for the next.
+    """
+    goal_variables = list(dict.fromkeys(goal.goal_atom.variables()))
+    args = tuple(-1 - goal_variables.index(t) if isinstance(t, Variable) else t for t in goal.goal_atom.args)
+    goals = ((goal.goal_atom, args, 0, 1, None), None)
+    theta, running, steps = {}, 1.0, None
+    choices = []
+    next_frame = 0  # variable numbers given to frames so far
+    # A candidate whose running product falls below this is skipped: the
+    # proof threshold, raised to the best score found so far.
+    bound = config.proof_threshold
+    best = None  # (ranking key, rules, steps, θ); the smallest key wins, the first on a tie
+    complete = 0
+    while True:
+        if goals is None:
+            complete += 1
+            if complete > MAX_PROOFS_PER_GOAL:
+                break
+            rules = _rules(steps)
+            key = (-running, len(rules), tuple(sorted({rule.id for rule in rules})))
+            if best is None or key < best[0]:
+                best = (key, rules, steps, theta)
+                bound = running  # a branch below the best score can only end in a worse key
+        else:
+            (atom, slots, frame, depth, ancestors), rest = goals
+            args = tuple([s + frame if isinstance(s, int) else s for s in slots])
+            if depth <= config.max_depth and not _repeats_ancestor(atom, args, theta, ancestors):
+                candidates = candidate_rules(kb, atom, store, config)
+                if candidates:
+                    choices.append((iter(candidates), atom, args, depth, ancestors, rest, theta, running, steps))
+        while choices:
+            candidates, atom, args, depth, ancestors, rest, theta, running, steps = choices[-1]
+            for rule, score in candidates:
+                running1 = running * (score * rule.score)
+                if running1 < bound:
+                    continue
+                frame = next_frame
+                next_frame += rule.template.size
+                theta1 = weak_unify_atoms(args, rule.head, rule.template.head, frame, theta)
+                if theta1 is not None:
+                    break
+            else:
+                choices.pop()
+                continue
+            lineage = (atom, args, ancestors)
+            goals = rest
+            for body_atom, slots in zip(reversed(rule.body), reversed(rule.template.body)):
+                goals = ((body_atom, slots, frame, depth + 1, lineage), goals)
+            theta, running, steps = theta1, running1, (atom, args, rule, score, steps)
+            break
+        else:
+            break
+    if best is None:
+        return None
+    (neg_score, _, _), rules, steps, theta = best
+    return ProofResult(
+        violation=goal.violation,
+        proof=_materialize(steps, theta, goal_variables),
+        proof_score=-neg_score,
+        used_fact_ids=frozenset(rule.fact_id for rule in rules if rule.fact_id is not None),
+        budget_exceeded=complete > MAX_PROOFS_PER_GOAL,
+    )
 
 
 def prove_all_goals(
@@ -438,8 +423,13 @@ def prove_all_goals(
 
 
 def render_proof(result: ProofResult) -> str:
-    """Indented text tree: score header, one rule application per line."""
+    """Indented text tree: score header, one rule application per line.
+
+    A result flagged ``budget_exceeded`` says so on the line under the header.
+    """
     lines = [f"{result.proof_score:.5f} {result.proof.goal_atom.predicate}"]
+    if result.budget_exceeded:
+        lines.append(f"(search stopped after {MAX_PROOFS_PER_GOAL} proofs; a better proof may exist)")
 
     def walk(step: ProofStep, depth: int) -> None:
         indent = "  " * depth

@@ -238,11 +238,6 @@ def parse_kb(text: str, id_prefix: str = "r") -> RuleDocument:
     return RuleDocument(rules=tuple(rules), goal_decls=tuple(goals))
 
 
-def format_rule(rule: Rule) -> str:
-    """The rule's clause text (``Rule.text``), formatted once per rule."""
-    return rule.text
-
-
 def format_goal_decl(goals: Sequence[GoalSpec]) -> str:
     alternatives = " | ".join(str(g.goal_atom) for g in goals)
     return f"goal <- {alternatives}."

@@ -123,8 +123,19 @@ def test_http_client_env_configuration(monkeypatch):
     assert session.calls[0]["headers"]["Authorization"] == "Bearer envkey"
 
 
-def test_http_client_malformed_response_is_chat_error():
-    session = _StubSession({"unexpected": True})
+# OpenAI-style endpoints send ``"content": null``; a list or a number is no reply either.
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"unexpected": True},
+        {"choices": [{"message": {"content": None}}]},
+        {"choices": [{"message": {"content": ["a"]}}]},
+        {"choices": [{"message": {"content": 5}}]},
+    ],
+    ids=["no-choices", "content-null", "content-list", "content-number"],
+)
+def test_http_client_malformed_response_is_chat_error(body):
+    session = _StubSession(body)
     client = HttpChatClient(url="https://example.test/chat", session=session)
     with pytest.raises(ChatError):
         client.complete([("user", "x")], ChatParams())

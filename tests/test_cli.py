@@ -1,11 +1,16 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import softprove
 from softprove.cli import _add_solver_flags, main
 from softprove.prover import SolverConfig
 from conftest import data_path
@@ -451,3 +456,37 @@ def test_exit_code_contract(tmp_path, capsys, argv, code, message):
     assert (got, out) == (code, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+# ``verify --json`` on the frog case and ``refine --json`` on the prison seed,
+# in one process; the data directory is the first argument.
+_CLI_RUNS = """
+import sys
+from softprove.cli import main
+
+data = sys.argv[1]
+vectors = ["--embeddings", f"{data}/demo_vectors.txt"]
+codes = [
+    main(["verify", f"{data}/cases/frog.json", *vectors, "--json"]),
+    main(["refine", "--case", f"{data}/cases/prison_seed.json", "--mock", f"{data}/transcripts/prison.json",
+          *vectors, "--json"]),
+]
+sys.exit(max(codes))
+"""
+
+
+def test_cli_output_is_independent_of_hash_seed():
+    env = dict(os.environ, PYTHONPATH=str(Path(softprove.__file__).parents[1]))
+    outputs = set()
+    for hash_seed in ("0", "7"):
+        done = subprocess.run(
+            [sys.executable, "-c", _CLI_RUNS, data_path("")],
+            env=dict(env, PYTHONHASHSEED=hash_seed),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert '"outcome": "valid_non_redundant"' in done.stdout
+        outputs.add(done.stdout)
+    assert len(outputs) == 1

@@ -382,6 +382,11 @@ def test_budget_flag_on_truncation():
     uncapped = search(99)  # 9,801 proofs
     assert uncapped is not None and uncapped.proof_score == 1.0
     assert not uncapped.budget_exceeded
+    # The text form says that the search was cut off, on the line under the
+    # score header, and only then.
+    notice = "(search stopped after 10000 proofs; a better proof may exist)"
+    assert render_proof(capped).splitlines()[1] == notice
+    assert notice not in render_proof(uncapped)
 
 
 def test_score_recompute_from_tree(demo_store, frog_case):
@@ -442,6 +447,29 @@ def test_prove_all_goals_ties_go_to_first_goal():
     kb = KnowledgeBase(doc.rules, doc.goal_decls)
     violation, _ = prove_all_goals(kb, kb.goals, EMPTY_STORE, SolverConfig())
     assert violation is MoralViolation.LIBERTY
+
+
+def test_prove_all_goals_flags_the_winner_when_another_search_was_cut_off():
+    # The liberty goal's 0.9 proofs tie n * n ways over n copies of
+    # p(action), so its search stops at the budget; the authority goal's
+    # one 1.0 proof wins, and carries the flag because a better liberty
+    # proof might have been missed.
+    def outcome(copies: int):
+        kb = _kb(
+            "violate_liberty(X,Y) :- p(X), p(X). = 0.9",
+            "violate_authority(X,Y) :- strong(X). = 1.0",
+            "strong(action).",
+            *["p(action)."] * copies,
+            goal="violate_liberty(action,patient) | violate_authority(action,patient)",
+        )
+        return prove_all_goals(kb, kb.goals, EMPTY_STORE, SolverConfig())
+
+    violation, result = outcome(101)  # 10,201 liberty proofs
+    assert violation is MoralViolation.AUTHORITY and result.proof_score == 1.0
+    assert result.budget_exceeded
+    violation, result = outcome(99)  # 9,801 liberty proofs
+    assert violation is MoralViolation.AUTHORITY and result.proof_score == 1.0
+    assert not result.budget_exceeded
 
 
 def test_prove_all_goals_requires_goals():

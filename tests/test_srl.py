@@ -1,7 +1,7 @@
 import pytest
 
 from softprove.logic import Constant
-from softprove.ruleparse import format_rule, parse_rule
+from softprove.ruleparse import parse_rule
 from softprove.srl import SchemaError, frame_from_dict, frame_to_facts, normalize_phrase
 
 FROG_DOC = {"statement": "I crushed the frog", "action": "crush", "agent": "I", "patient": "the frog"}
@@ -38,7 +38,7 @@ def test_normalization_rules():
 def test_frame_to_facts_frog():
     frame = frame_from_dict(FROG_DOC)
     facts = frame_to_facts(frame)
-    rendered = {format_rule(r) for r in facts}
+    rendered = {r.text for r in facts}
     assert rendered == {
         "crush(action). = 1.0",
         "the_frog(patient). = 1.0",
@@ -74,7 +74,7 @@ def test_extra_roles_sorted_and_grounded():
         {"statement": "s", "action": "cut", "roles": {"instrument": "sharp knife", "beneficiary": "my guests"}}
     )
     facts = frame_to_facts(frame)
-    rendered = [format_rule(r) for r in facts]
+    rendered = [r.text for r in facts]
     assert rendered == [
         "cut(action). = 1.0",
         "my_guests(beneficiary). = 1.0",
@@ -85,7 +85,7 @@ def test_extra_roles_sorted_and_grounded():
 def test_facts_parse_back_through_ruleparse():
     frame = frame_from_dict(FROG_DOC)
     for rule in frame_to_facts(frame):
-        reparsed = parse_rule(format_rule(rule), rule_id=rule.id)
+        reparsed = parse_rule(rule.text, rule_id=rule.id)
         assert reparsed.head == rule.head
         assert reparsed.body == rule.body
         assert reparsed.score == rule.score
