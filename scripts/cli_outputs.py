@@ -9,12 +9,14 @@ and on ``CHECKOUT/.bench_inputs/`` (made by ``python3 benchmark/gen.py``) when
 it exists: ``prove --json`` on each ``large_kb`` KB, ``verify --json`` on each
 ``corpus`` case and ``corpus verify`` over all of them, in text and
 ``--json``, and ``refine --json`` on each ``refine`` seed with its planted
-iteration budget.  On the shipped data, ``corpus verify`` also runs over
-variants of the frog case at iterations 0, 1 and 2 and over an empty
-manifest, and ``prove`` runs on a rule with a 1,200-atom body, on a KB
-whose search finds no proof after 4^9 paths, and, in text and ``--json``, on
-a KB of 10,201 tying proofs that the proof budget cuts off.  The bad-input
-commands give the exit codes and ``error:`` lines.
+iteration budget, the first seed also without a vector cache, so that the
+whole vector text is parsed.  On the shipped data, ``corpus verify`` also
+runs over variants of the frog case at iterations 0, 1 and 2 and over an
+empty manifest, ``verify`` runs on the demo vectors with every component
+spelled with an underscore (``1.000_00``), and ``prove`` runs on a rule with
+a 1,200-atom body, on a KB whose search finds no proof after 4^9 paths, and,
+in text and ``--json``, on a KB of 10,201 tying proofs that the proof budget
+cuts off.  The bad-input commands give the exit codes and ``error:`` lines.
 
 For each command NAME it writes ``NAME.out``, ``NAME.err`` and ``NAME.code`` to
 OUTDIR, with the checkout's path replaced by ``<ROOT>`` and OUTDIR's by
@@ -46,6 +48,17 @@ def shipped_commands(data: Path, work: Path, out: Path) -> list[tuple[str, list[
     (work / "bad_lines.pl").write_text("a(x).\nb(X) :-\n  c(X,\n  :- d(X).\ne(y).\nf(z) g(w).\nh(q).", "utf-8")
     (work / "bad_term.pl").write_text("a(.b).", "utf-8")
     (work / "bad_vectors.txt").write_text("cat 1.0 zero 0.0\n", "utf-8")
+    # A bad numeral on line 2,000, in a later block of the block-wise parse.
+    late = [f"w{i} 1.0 0.0\n" for i in range(2100)]
+    late[1999] = "bad 1.0 zero\n"
+    (work / "bad_vectors_late.txt").write_text("".join(late), "utf-8")
+    # The demo vectors with every component spelled `1.000_00`: a numeral that
+    # Python's float takes and NumPy's block reader does not.
+    underscored = []
+    for line in (data / "demo_vectors.txt").read_text("utf-8").splitlines():
+        token, *components = line.split(" ")
+        underscored.append(" ".join([token, *(c[:-2] + "_" + c[-2:] for c in components)]) + "\n")
+    (work / "underscore_vectors.txt").write_text("".join(underscored), "utf-8")
     (work / "number.json").write_text("5", "utf-8")
     (work / "cases.json").write_text('"cases"', "utf-8")
     (work / "directory").mkdir(exist_ok=True)
@@ -106,6 +119,7 @@ def shipped_commands(data: Path, work: Path, out: Path) -> list[tuple[str, list[
         ("parse-json", ["parse", str(data / "principles.pl"), "--json"]),
         ("verify", ["verify", frog, *vectors]),
         ("verify-json", ["verify", frog, *vectors, "--json"]),
+        ("verify-underscore-numerals", ["verify", frog, "--embeddings", str(work / "underscore_vectors.txt")]),
         ("refine", ["refine", *prison, *mock, *vectors, "--out", str(out / "refine.trace.json")]),
         ("refine-json", ["refine", *prison, *mock, *vectors, "--json"]),
         ("refine-iterations-1", ["refine", *prison, *mock, *vectors, "--iterations", "1"]),
@@ -127,6 +141,7 @@ def shipped_commands(data: Path, work: Path, out: Path) -> list[tuple[str, list[
         ("error-clause-positions", ["parse", str(work / "bad_lines.pl")]),
         ("error-recovery-after-bad-term", ["parse", str(work / "bad_term.pl")]),
         ("error-bad-vectors", ["verify", frog, "--embeddings", str(work / "bad_vectors.txt")]),
+        ("error-bad-vectors-late", ["verify", frog, "--embeddings", str(work / "bad_vectors_late.txt")]),
         ("error-missing-file", ["parse", str(work / "missing.pl")]),
         ("error-case-not-object", ["verify", str(work / "number.json")]),
         ("error-seed-not-object", ["refine", "--case", str(work / "number.json"), *mock]),
@@ -137,6 +152,7 @@ def shipped_commands(data: Path, work: Path, out: Path) -> list[tuple[str, list[
         ("error-cache-without-embeddings", ["verify", frog, "--embeddings-cache", str(work / "x.spemb")]),
         ("error-limit-without-embeddings", ["verify", frog, "--limit", "5"]),
         ("error-negative-limit", ["verify", frog, *vectors, "--limit", "-3"]),
+        ("error-limit-zero", ["verify", frog, *vectors, "--limit", "0"]),
         ("error-nan-vector", ["prove", str(work / "kick.pl"), "--embeddings", str(work / "nan_vectors.txt")]),
         ("error-transcript-match-number", ["refine", *prison, "--mock", str(work / "match_number.json"), *vectors]),
         ("error-transcript-response-list", ["refine", *prison, "--mock", str(work / "response_list.json"), *vectors]),
@@ -168,13 +184,13 @@ def bench_commands(inputs: Path, work: Path) -> list[tuple[str, list[str]]]:
     commands.append(("corpus-verify", ["corpus", "verify", str(manifest), "--json", *vectors("corpus")]))
     commands.append(("corpus-verify-text", ["corpus", "verify", str(manifest), *vectors("corpus")]))
     refine = inputs / "refine"
-    for seed in json.loads((refine / "expect.json").read_text("utf-8"))["seeds"]:
+    for index, seed in enumerate(json.loads((refine / "expect.json").read_text("utf-8"))["seeds"]):
         name = Path(seed["seed"]).stem
-        commands.append((
-            f"refine-{name}",
-            ["refine", "--case", str(refine / seed["seed"]), "--mock", str(refine / seed["transcript"]),
-             "--iterations", str(seed["max_iterations"]), "--json", *vectors("refine")],
-        ))
+        args = ["refine", "--case", str(refine / seed["seed"]), "--mock", str(refine / seed["transcript"]),
+                "--iterations", str(seed["max_iterations"]), "--json"]
+        commands.append((f"refine-{name}", [*args, *vectors("refine")]))
+        if index == 0:  # the vector text parsed, with no cache
+            commands.append((f"refine-{name}-text", [*args, "--embeddings", str(refine / "vocab.txt")]))
     return commands
 
 

@@ -29,7 +29,7 @@ Each command takes only the flags it reads; every command takes ``--json``.
   ``<source>.spemb``).
 
 The vector flags are ``--embeddings``, ``--embeddings-cache`` and ``--limit``;
-the last two need the first, and ``--limit`` must not be negative.
+the last two need the first, and ``--limit`` must be at least 1.
 The solver flags are the solver's three settings and no other:
 ``--unify-threshold``, ``--proof-threshold`` and ``--max-depth``; the last
 is at most 256 (``prover.MAX_DEPTH``), since the proof's text and JSON
@@ -84,8 +84,8 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
 
 
 def _limit(args: argparse.Namespace) -> Optional[int]:
-    if args.limit is not None and args.limit < 0:
-        raise ConfigError(f"--limit must be >= 0, got {args.limit}")
+    if args.limit is not None and args.limit < 1:
+        raise ConfigError(f"--limit must be >= 1, got {args.limit}")
     return args.limit
 
 

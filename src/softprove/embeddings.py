@@ -1,10 +1,22 @@
 """Word-vector store and the weak-unification score between symbols.
 
-Vectors load from GloVe-style text (one ``token v1 .. vd`` line per token);
-a nan or infinite component, or one too large for float32, is an error.
-The store holds them as one float32 matrix, one row per token, plus a
-token -> row dict.  Multiword symbols such as ``physical_harm`` embed as the
-mean of their in-vocabulary underscore-split tokens.
+Vectors load from GloVe-style text: one ``token v1 .. vd`` line per token,
+single spaces between the fields.  A component is any numeral that Python's
+``float`` accepts (``-1.5e-3``, ``1.``, ``.5``, ``1_0``, ``١٢``, ``１``),
+rounded to float32; a nan or infinite component, or one too large for
+float32, is an error.  The store holds the vectors as one float32 matrix, one
+row per token, plus a token -> row dict.  Multiword symbols such as
+``physical_harm`` embed as the mean of their in-vocabulary underscore-split
+tokens.
+
+The text load splits its work.  A Python pass reads each line, lower-cases
+its token and checks the component count; NumPy's C reader (``np.loadtxt``)
+parses the numerals of each block of ``BLOCK_LINES`` lines to double and
+rounds them to float32.  That reader takes fewer numerals than ``float``
+(no underscores, no non-ASCII digits), so a block it rejects is parsed again
+one line at a time by NumPy's string cast, which takes what ``float`` takes
+and gives the same values.  An error names the first faulty line in file
+order.
 
 Each store keeps what scoring has computed, so that no symbol or pair is
 scored twice: per symbol, its mean vector cast to float64 and that vector's
@@ -131,49 +143,85 @@ def _check_finite(rows: Mapping[str, int], matrix: np.ndarray) -> None:
         raise EmbeddingError(f"token {list(rows)[row]!r} has a non-finite vector component")
 
 
+# Lines per ``np.loadtxt`` call: enough to spread the cost of a call, few
+# enough that the load's peak memory stays that of a per-line parse.
+BLOCK_LINES = 128
+
+# NumPy's reader strips these ASCII separators around a numeral as
+# whitespace; ``float`` rejects a numeral that holds one.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
 @np.errstate(over="ignore")  # a numeral too large for float32 becomes inf
 def load_embeddings(
     source: Union[str, Path, BinaryIO], limit: Optional[int] = None
 ) -> EmbeddingStore:
     """Load GloVe-style text; dimension is inferred from the first line.
 
+    Blank lines are skipped.  A token is lower-cased and its first line wins;
+    a later line for it must still be well formed.  A component is a numeral
+    that Python's ``float`` accepts, rounded to float32.  Each block of
+    ``BLOCK_LINES`` lines is parsed by ``np.loadtxt``, and again line by line
+    when that reader rejects it (``_parse_block``), so an error names the
+    first faulty line in file order: ``line N: ...``.
+
     ``limit`` keeps only the first ``limit`` vector lines, which is enough for
-    frequency-ordered files when only common words matter.  A binary stream
-    passed in is left open.
+    frequency-ordered files when only common words matter; it must be at
+    least 1.  A binary stream passed in is left open.
     """
+    if limit is not None and limit < 1:
+        raise EmbeddingError(f"limit must be at least 1, got {limit}")
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
             return load_embeddings(fh, limit=limit)
     dimension: Optional[int] = None
     rows: dict[str, int] = {}
-    # One growing buffer: collecting per-row arrays and stacking them at the
-    # end would hold the vocabulary twice at the peak.
+    # One growing buffer: collecting per-block arrays and stacking them at
+    # the end would hold the vocabulary twice at the peak.
     data = bytearray()
     loaded = 0
+    # The pending block: each line's text after the token, its line number,
+    # and the block positions of lines whose token an earlier line holds.
+    rests: list[str] = []
+    line_nos: list[int] = []
+    repeats: list[int] = []
+
+    def flush() -> None:
+        if rests:
+            matrix = _parse_block(rests, line_nos, dimension)
+            data.extend(np.delete(matrix, repeats, axis=0) if repeats else matrix)
+            rests.clear()
+            line_nos.clear()
+            repeats.clear()
+
     text = io.TextIOWrapper(source, encoding="utf-8", errors="replace")
     try:
         for line_no, raw in enumerate(text, start=1):
             if limit is not None and loaded >= limit:
                 break
-            parts = raw.rstrip("\n").split(" ")
-            if parts == [""]:
+            if raw == "\n":
                 continue
-            token, components = parts[0], parts[1:]
-            if not token or not components:
+            token, space, rest = raw.partition(" ")
+            if not token or not space:
+                flush()  # a fault on an earlier line is reported first
                 raise EmbeddingError(f"line {line_no}: line has no vector components")
+            count = rest.count(" ") + 1
             if dimension is None:
-                dimension = len(components)
-            elif len(components) != dimension:
-                raise EmbeddingError(f"line {line_no}: expected {dimension} components, got {len(components)}")
-            try:
-                vec = np.array(components, dtype=np.float32)
-            except ValueError as exc:
-                raise EmbeddingError(f"line {line_no}: non-numeric vector component") from exc
+                dimension = count
+            elif count != dimension:
+                flush()
+                raise EmbeddingError(f"line {line_no}: expected {dimension} components, got {count}")
             token = token.lower()
-            if token not in rows:  # the first line for a token wins
+            if token in rows:  # the first line for a token wins
+                repeats.append(len(rests))
+            else:
                 rows[token] = len(rows)
-                data += vec.tobytes()
+            rests.append(rest)
+            line_nos.append(line_no)
             loaded += 1
+            if len(rests) == BLOCK_LINES:
+                flush()
+        flush()
     finally:
         text.detach()  # collecting an attached wrapper would close the caller's stream
     if dimension is None:
@@ -181,6 +229,37 @@ def load_embeddings(
     matrix = np.frombuffer(data, dtype=np.float32).reshape(len(rows), dimension)
     _check_finite(rows, matrix)
     return EmbeddingStore._from_matrix(dimension, rows, matrix)
+
+
+def _parse_block(rests: list[str], line_nos: list[int], dimension: int) -> np.ndarray:
+    """The float32 rows of a block of lines, one per line: ``rests`` holds
+    each line's text after the token, with ``dimension`` space-separated
+    fields, and ``line_nos`` its line number.
+
+    ``np.loadtxt`` parses the block unless it raises, returns another shape
+    (it skips a line with nothing after the token) or could strip one of
+    ``_SEPARATORS``.  Then each line is parsed on its own, by NumPy's string
+    cast, which takes exactly what ``float`` takes, and the first line that
+    fails is named.
+    """
+    joined = "".join(rests)
+    # loadtxt warns that it read no data on a block of only empty lines; such
+    # a block is no longer than its line count.
+    if len(joined) > len(rests) and not any(sep in joined for sep in _SEPARATORS):
+        try:
+            matrix = np.loadtxt(rests, dtype=np.float32, delimiter=" ", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if matrix.shape == (len(rests), dimension):
+                return matrix
+    matrix = np.empty((len(rests), dimension), dtype=np.float32)
+    for row, (line_no, rest) in enumerate(zip(line_nos, rests)):
+        try:
+            matrix[row] = np.array(rest.rstrip("\n").split(" "), dtype=np.float32)
+        except ValueError as exc:
+            raise EmbeddingError(f"line {line_no}: non-numeric vector component") from exc
+    return matrix
 
 
 def symbol_embedding(store: EmbeddingStore, symbol: str) -> Optional[np.ndarray]:

@@ -2,6 +2,7 @@
 named substitutions and renaming that the search's numbered ones are checked
 against, the per-pair predicate rule that the candidate scan is checked
 against, the proof walk that ``ProofResult.used_fact_ids`` is checked
+against, the per-line vector-text loader that ``load_embeddings`` is checked
 against, and seeded random generators for knowledge bases, rule documents
 and adversarial KB texts.
 
@@ -14,13 +15,14 @@ rule_score)`` at every step.
 
 from __future__ import annotations
 
+import io
 import itertools
 import random
 from typing import Callable, Iterator, Mapping, Optional
 
 import numpy as np
 
-from softprove.embeddings import EmbeddingStore, weak_unify_score
+from softprove.embeddings import EmbeddingError, EmbeddingStore, weak_unify_score
 from softprove.logic import (
     Atom,
     Constant,
@@ -173,6 +175,41 @@ def cosine_pair_table(vectors: dict[str, np.ndarray]) -> PairScore:
         return max(0.0, min(1.0, float(np.dot(va, vb)) / denom))
 
     return score
+
+
+def reference_vectors(data: bytes, limit: Optional[int] = None) -> tuple[list[str], np.ndarray]:
+    """The tokens in row order and the float32 matrix of a vector text, read
+    one line at a time: each line split on spaces and its components cast by
+    ``np.array(components, dtype=np.float32)``.  This is the loader that
+    ``load_embeddings`` had before it parsed in blocks, with its error
+    messages; it does not check that the vectors are finite."""
+    dimension: Optional[int] = None
+    vectors: dict[str, np.ndarray] = {}
+    loaded = 0
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="replace")
+    with np.errstate(over="ignore"):
+        for line_no, raw in enumerate(lines, start=1):
+            if limit is not None and loaded >= limit:
+                break
+            parts = raw.rstrip("\n").split(" ")
+            if parts == [""]:
+                continue
+            token, components = parts[0], parts[1:]
+            if not token or not components:
+                raise EmbeddingError(f"line {line_no}: line has no vector components")
+            if dimension is None:
+                dimension = len(components)
+            elif len(components) != dimension:
+                raise EmbeddingError(f"line {line_no}: expected {dimension} components, got {len(components)}")
+            try:
+                vec = np.array(components, dtype=np.float32)
+            except ValueError as exc:
+                raise EmbeddingError(f"line {line_no}: non-numeric vector component") from exc
+            vectors.setdefault(token.lower(), vec)
+            loaded += 1
+    if dimension is None:
+        raise EmbeddingError("embedding source contains no vector lines")
+    return list(vectors), np.stack(list(vectors.values()))
 
 
 Proof = tuple[float, int, tuple[str, ...]]  # (score, steps, sorted rule ids)

@@ -427,12 +427,16 @@ def _bad_input(tmp_path, name: str, text: str) -> str:
         pytest.param(["verify", "{frog}", "--embeddings-cache", "{dir}/x.spemb"], 2, "need --embeddings", id="cache-alone"),
         pytest.param(["verify", "{frog}", "--limit", "5"], 2, "need --embeddings", id="limit-alone"),
         pytest.param(
-            ["verify", "{frog}", "--embeddings", "{vectors}", "--limit", "-3"], 2, "--limit must be >= 0, got -3",
+            ["verify", "{frog}", "--embeddings", "{vectors}", "--limit", "-3"], 2, "--limit must be >= 1, got -3",
             id="negative-limit",
         ),
         pytest.param(
             ["embeddings", "cache", "--embeddings", "{vectors}", "--limit", "-3", "--out", "{dir}/x.spemb"],
-            2, "--limit must be >= 0, got -3", id="cache-negative-limit",
+            2, "--limit must be >= 1, got -3", id="cache-negative-limit",
+        ),
+        pytest.param(
+            ["verify", "{frog}", "--embeddings", "{vectors}", "--limit", "0"], 2, "--limit must be >= 1, got 0",
+            id="limit-zero",
         ),
         pytest.param(
             ["prove", "{kb}", "--max-depth", "257"], 2, "max_depth must be in [1, 256]: 257", id="max-depth-over-cap",

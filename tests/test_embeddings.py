@@ -6,12 +6,14 @@ import os
 import random
 import struct
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from softprove import embeddings
 from softprove.embeddings import (
+    BLOCK_LINES,
     EmbeddingError,
     EmbeddingStore,
     load_embeddings,
@@ -21,7 +23,7 @@ from softprove.embeddings import (
     weak_unify_score,
     write_cache,
 )
-from genutil import cosine_pair_table
+from genutil import cosine_pair_table, reference_vectors
 
 
 def _stream(text: str) -> io.BytesIO:
@@ -35,7 +37,8 @@ def test_load_two_line_stream():
 
 
 def test_load_leaves_the_callers_stream_open():
-    for text in ("cat 1.0 0.0\ndog 0.0 1.0\n", "cat 1.0\ndog 1.0 2.0\n"):  # a load and a failed load
+    # a load, then failed loads: a structural fault, and each text of _FAULTS
+    for text in ("cat 1.0 0.0\ndog 0.0 1.0\n", "cat 1.0\ndog 1.0 2.0\n", *(text for text, _ in _FAULTS.values())):
         stream = _stream(text)
         try:
             load_embeddings(stream)
@@ -74,6 +77,12 @@ def test_empty_source():
         load_embeddings(_stream("\n\n"))
 
 
+@pytest.mark.parametrize("limit", [0, -3])
+def test_limit_below_one_is_rejected(limit):
+    with pytest.raises(EmbeddingError, match=rf"^limit must be at least 1, got {limit}$"):
+        load_embeddings(_stream("a 1.0\nb 2.0\n"), limit=limit)
+
+
 def test_limit_loads_prefix_only():
     store = load_embeddings(_stream("a 1.0\nb 2.0\nc 3.0\n"), limit=2)
     assert store.vocab_size == 2
@@ -89,6 +98,111 @@ def test_duplicate_tokens_first_wins():
 def test_tokens_are_lowercased():
     store = load_embeddings(_stream("Cat 1.0 0.0\n"))
     assert "cat" in store
+
+
+def _filler(count: int, start: int = 0) -> list[str]:
+    return [f"w{i} {i % 7}.5 -{i % 3}e-2\n" for i in range(start, start + count)]
+
+
+# Faulty texts and the error each must give: that of the first fault in file
+# order.
+_FAULTS = {
+    # a bad numeral on line 4, a dimension mismatch on line 7 of the same block
+    "numeral-before-mismatch": (
+        "cat 1 2\n" + "".join(_filler(2)) + "bad 1 x\n" + "".join(_filler(2, 2)) + "short 1\n",
+        "line 4: non-numeric vector component",
+    ),
+    # a bad numeral on line 2, no components at all on line 3
+    "numeral-before-missing-components": ("cat 1 2\ndog 3 x\nfrog\n", "line 2: non-numeric vector component"),
+    # nothing after the token, which loadtxt would skip as an empty line
+    "nothing-after-token": ("cat 1\ndog 2\nfrog \ntoad 3\n", "line 3: non-numeric vector component"),
+    "only-nothing-after-token": ("cat \n", "line 1: non-numeric vector component"),
+    # two blocks, two blank lines, then a bad numeral in the third block
+    "third-block": (
+        "cat 1 2\n" + "".join(_filler(2 * BLOCK_LINES - 1)) + "\n\n" + "".join(_filler(40)) + "bad 1 1e\n"
+        + "".join(_filler(20)),
+        f"line {2 * BLOCK_LINES + 43}: non-numeric vector component",
+    ),
+    # the first line for "cat" wins, but the later one must still parse
+    "repeated-token": ("cat 1 2\ndog 3 4\nCAT 5 five\n", "line 3: non-numeric vector component"),
+    # loadtxt strips an ASCII separator around a numeral; float does not
+    "separator": ("cat 1 2\ndog 3 \x1c4\n", "line 2: non-numeric vector component"),
+    # a dimension mismatch on line 3 comes before the bad numeral on line 4
+    "mismatch-before-numeral": ("cat 1 2\ndog 3 4\nfrog 5\ntoad 6 x\n", "line 3: expected 2 components, got 1"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_first_fault_in_file_order_is_reported(fault):
+    text, message = _FAULTS[fault]
+    with pytest.raises(EmbeddingError) as reference:
+        reference_vectors(text.encode("utf-8"))
+    assert str(reference.value) == message
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt's "input contained no data" included
+        with pytest.raises(EmbeddingError) as excinfo:
+            load_embeddings(_stream(text))
+    assert str(excinfo.value) == message
+
+
+def _midpoint_numerals(rng: np.random.Generator) -> list[str]:
+    """Numerals at the midpoint between two adjacent float32 values: in 17
+    significant digits and in shortest form, one double either side of it,
+    and its exact decimal with a digit added far past the last, which rounds
+    to float32 by the tie rule through float64 but away from it if parsed
+    to float32 directly."""
+    low = np.float32(rng.uniform(-4.0, 4.0) * 10.0 ** rng.integers(-30, 30))
+    high = np.nextafter(low, np.float32(np.inf))
+    mid = (float(low) + float(high)) / 2.0  # exact in float64
+    below, above = np.nextafter(mid, -np.inf), np.nextafter(mid, np.inf)
+    mantissa, exponent = format(Decimal(mid), "e").split("e")
+    just_past = f"{mantissa}{'' if '.' in mantissa else '.'}00000001e{exponent}"
+    return [f"{mid:.17g}", repr(mid), f"{below:.17g}", f"{above:.17g}", just_past]
+
+
+_SPELLINGS = ["1.", ".5", "-.5", "+3", "-0.0", "0.0", "1e-50", "-1E+20", "2.5e-3", "7E3", "1e-45", "3.4028235e38"]
+_FLOAT_ONLY = ["1_0", "١٢", "１", "0.000_01"]  # numerals only Python's float takes
+
+
+def _awkward_vocabulary(seed: int, dimension: int = 6) -> bytes:
+    """Three and a half blocks of vector lines with CRLF endings and no
+    newline after the last line: 17-digit numerals at float32 rounding
+    midpoints, every spelling of ``_SPELLINGS``, numerals of ``_FLOAT_ONLY``
+    in the middle of the file, a few blank lines, and tokens repeated in
+    other cases, also across blocks."""
+    rng = np.random.default_rng(seed)
+    count = 3 * BLOCK_LINES + BLOCK_LINES // 2
+    float_only = dict(zip(range(count // 2, count, 3), _FLOAT_ONLY))  # line index -> numeral
+    lines: list[str] = []
+    for i in range(count):
+        if i % 97 == 13:
+            lines.append("")
+        token = f"Tok{i}" if i < 10 or i % 41 else f"TOK{int(rng.integers(0, i // 2))}"  # an earlier token
+        components = []
+        for _ in range(dimension):
+            pick = rng.random()
+            if pick < 0.45:
+                components.append(rng.choice(_midpoint_numerals(rng)))
+            elif pick < 0.6:
+                components.append(str(rng.choice(_SPELLINGS)))
+            else:
+                components.append(repr(float(rng.normal())))
+        if i in float_only:
+            components[int(rng.integers(0, dimension))] = float_only[i]
+        lines.append(f"{token} " + " ".join(components))
+    return "\r\n".join(lines).encode("utf-8")
+
+
+@pytest.mark.parametrize("limit", [None, 2 * BLOCK_LINES + 37])
+def test_block_load_matches_the_per_line_reference(limit):
+    data = _awkward_vocabulary(seed=41)
+    tokens, matrix = reference_vectors(data, limit=limit)
+    store = load_embeddings(io.BytesIO(data), limit=limit)
+    assert store.tokens() == tokens
+    assert len(tokens) > (limit or 3 * BLOCK_LINES) * 0.9  # most lines hold a new token
+    loaded = np.stack([store.token_vector(token) for token in tokens])
+    assert loaded.dtype == matrix.dtype == np.float32
+    assert loaded.tobytes() == matrix.tobytes()
 
 
 # -- symbol embedding --------------------------------------------------------------
