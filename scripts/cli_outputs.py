@@ -9,9 +9,10 @@ and on ``CHECKOUT/.bench_inputs/`` (made by ``python3 benchmark/gen.py``) when
 it exists: ``prove --json`` on each ``large_kb`` KB, ``verify --json`` on each
 ``corpus`` case and ``corpus verify`` over all of them, in text and
 ``--json``, and ``refine --json`` on each ``refine`` seed with its planted
-iteration budget, the first seed also without a vector cache, so that the
-whole vector text is parsed.  On the shipped data, ``corpus verify`` also
-runs over variants of the frog case at iterations 0, 1 and 2 and over an
+iteration budget and ``--out`` to write its trace, the first seed also
+without a vector cache, so that the whole vector text is parsed.  On the
+shipped data, ``corpus verify`` also runs over variants of the frog case at
+iterations 0, 1 and 2 (once with ``--out`` to write the report) and over an
 empty manifest, ``verify`` runs on the demo vectors with every component
 spelled with an underscore (``1.000_00``), and ``prove`` runs on a rule with
 a 1,200-atom body, on a KB whose search finds no proof after 4^9 paths, and,
@@ -21,9 +22,11 @@ cuts off.  The bad-input commands give the exit codes and ``error:`` lines.
 For each command NAME it writes ``NAME.out``, ``NAME.err`` and ``NAME.code`` to
 OUTDIR, with the checkout's path replaced by ``<ROOT>`` and OUTDIR's by
 ``<OUT>``, so that ``diff -r`` between the OUTDIRs of two checkouts is the
-check.  Nothing is written inside the checkout: the ``--out`` traces go to
-OUTDIR, and the inputs the script makes and the vector caches to OUTDIR/work,
-which is deleted at the end (it holds paths of the checkout).
+check.  Nothing is written inside the checkout: the ``--out`` traces and
+reports go to OUTDIR, and the inputs the script makes and the vector caches to
+OUTDIR/work, which is deleted at the end (it holds paths of the checkout).  The
+report that ``corpus verify`` writes to ``--out directory/report.json``, a
+path from the working directory OUTDIR/work, is first copied to OUTDIR.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ def shipped_commands(data: Path, work: Path, out: Path) -> list[tuple[str, list[
     late = [f"w{i} 1.0 0.0\n" for i in range(2100)]
     late[1999] = "bad 1.0 zero\n"
     (work / "bad_vectors_late.txt").write_text("".join(late), "utf-8")
+    # Two tokens that differ only in a Latin-1 byte.
+    (work / "latin1_vectors.txt").write_bytes(b"caf\xe9 1.0 0.0\ncaf\xe8 0.0 1.0\n")
     # The demo vectors with every component spelled `1.000_00`: a numeral that
     # Python's float takes and NumPy's block reader does not.
     underscored = []
@@ -129,6 +134,8 @@ def shipped_commands(data: Path, work: Path, out: Path) -> list[tuple[str, list[
          ["corpus", "verify", str(work / "sub" / "manifest.json"), *vectors, "--out", "directory/report.json"]),
         ("corpus-iterations", ["corpus", "verify", str(work / "iterations.json"), *vectors]),
         ("corpus-iterations-json", ["corpus", "verify", str(work / "iterations.json"), *vectors, "--json"]),
+        ("corpus-iterations-report",
+         ["corpus", "verify", str(work / "iterations.json"), *vectors, "--out", str(out / "corpus-iterations.report.json")]),
         ("corpus-empty", ["corpus", "verify", str(work / "empty.json"), *vectors]),
         ("corpus-empty-json", ["corpus", "verify", str(work / "empty.json"), *vectors, "--json"]),
         ("prove-long-body", ["prove", str(work / "long_body.pl")]),
@@ -142,6 +149,7 @@ def shipped_commands(data: Path, work: Path, out: Path) -> list[tuple[str, list[
         ("error-recovery-after-bad-term", ["parse", str(work / "bad_term.pl")]),
         ("error-bad-vectors", ["verify", frog, "--embeddings", str(work / "bad_vectors.txt")]),
         ("error-bad-vectors-late", ["verify", frog, "--embeddings", str(work / "bad_vectors_late.txt")]),
+        ("error-vectors-not-utf8", ["verify", frog, "--embeddings", str(work / "latin1_vectors.txt")]),
         ("error-missing-file", ["parse", str(work / "missing.pl")]),
         ("error-case-not-object", ["verify", str(work / "number.json")]),
         ("error-seed-not-object", ["refine", "--case", str(work / "number.json"), *mock]),
@@ -166,9 +174,9 @@ def shipped_commands(data: Path, work: Path, out: Path) -> list[tuple[str, list[
     ]
 
 
-def bench_commands(inputs: Path, work: Path) -> list[tuple[str, list[str]]]:
+def bench_commands(inputs: Path, work: Path, out: Path) -> list[tuple[str, list[str]]]:
     """Commands on the generated benchmark inputs; the caches and the corpus
-    manifest go to ``work``."""
+    manifest go to ``work``, the ``refine`` traces to ``out``."""
     def vectors(workload: str) -> list[str]:
         return ["--embeddings", str(inputs / workload / "vocab.txt"),
                 "--embeddings-cache", str(work / f"{workload}.spemb")]
@@ -188,7 +196,8 @@ def bench_commands(inputs: Path, work: Path) -> list[tuple[str, list[str]]]:
         name = Path(seed["seed"]).stem
         args = ["refine", "--case", str(refine / seed["seed"]), "--mock", str(refine / seed["transcript"]),
                 "--iterations", str(seed["max_iterations"]), "--json"]
-        commands.append((f"refine-{name}", [*args, *vectors("refine")]))
+        trace = ["--out", str(out / f"refine-{name}.trace.json")]
+        commands.append((f"refine-{name}", [*args, *vectors("refine"), *trace]))
         if index == 0:  # the vector text parsed, with no cache
             commands.append((f"refine-{name}-text", [*args, "--embeddings", str(refine / "vocab.txt")]))
     return commands
@@ -208,7 +217,7 @@ def main(argv: list[str]) -> int:
     commands = shipped_commands(checkout / "src" / "softprove" / "data", work, out)
     inputs = checkout / ".bench_inputs"
     if inputs.is_dir():
-        commands += bench_commands(inputs, work)
+        commands += bench_commands(inputs, work, out)
     else:
         print(f"no {inputs}: benchmark inputs skipped", file=sys.stderr)
 
@@ -221,6 +230,9 @@ def main(argv: list[str]) -> int:
         for suffix, text in ((".out", done.stdout), (".err", done.stderr), (".code", f"{done.returncode}\n")):
             text = text.replace(str(out), "<OUT>").replace(str(checkout), "<ROOT>")
             (out / f"{name}{suffix}").write_text(text, "utf-8")
+    report = work / "directory" / "report.json"  # the one report written under ``work``, by a relative --out
+    if report.exists():
+        shutil.copyfile(report, out / "corpus-out-from-working-directory.report.json")
     shutil.rmtree(work)
     print(f"{len(commands)} commands recorded in {out}")
     return 0

@@ -49,6 +49,7 @@ from typing import Optional
 
 from .chat import ChatError, ChatParams, HttpChatClient, MockTranscript, default_model
 from .embeddings import EmbeddingStore, default_cache_path, load_embeddings, load_embeddings_cached
+from .jsontext import dumps_indented
 from .logic import KnowledgeBase
 from .principles import load_principles
 from .prover import (
@@ -107,7 +108,7 @@ def _write_trace(args: argparse.Namespace, trace: RefineTrace) -> None:
 
 def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(dumps_indented(payload))
     else:
         print(text)
 
@@ -231,7 +232,7 @@ def cmd_corpus_verify(args: argparse.Namespace) -> int:
     else:
         destination = None
     if destination:
-        destination.write_text(json.dumps(payload, indent=2) + "\n", "utf-8")
+        destination.write_text(dumps_indented(payload) + "\n", "utf-8")
     _emit(args, render_metrics(payload), payload)
     return EXIT_OK
 

@@ -15,8 +15,8 @@ parses the numerals of each block of ``BLOCK_LINES`` lines to double and
 rounds them to float32.  That reader takes fewer numerals than ``float``
 (no underscores, no non-ASCII digits), so a block it rejects is parsed again
 one line at a time by NumPy's string cast, which takes what ``float`` takes
-and gives the same values.  An error names the first faulty line in file
-order.
+and gives the same values.  A line that is not UTF-8 is an error too.  An
+error names the first faulty line in file order.
 
 Each store keeps what scoring has computed, so that no symbol or pair is
 scored twice: per symbol, its mean vector cast to float64 and that vector's
@@ -158,6 +158,7 @@ def load_embeddings(
 ) -> EmbeddingStore:
     """Load GloVe-style text; dimension is inferred from the first line.
 
+    The text must be UTF-8; a line that is not raises ``EmbeddingError``.
     Blank lines are skipped.  A token is lower-cased and its first line wins;
     a later line for it must still be well formed.  A component is a numeral
     that Python's ``float`` accepts, rounded to float32.  Each block of
@@ -194,13 +195,21 @@ def load_embeddings(
             line_nos.clear()
             repeats.clear()
 
-    text = io.TextIOWrapper(source, encoding="utf-8", errors="replace")
+    # Invalid bytes decode to lone surrogates, which a line that is not ASCII
+    # is checked for, so that the error can name its line.
+    text = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape")
     try:
         for line_no, raw in enumerate(text, start=1):
             if limit is not None and loaded >= limit:
                 break
             if raw == "\n":
                 continue
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError:
+                    flush()
+                    raise EmbeddingError(f"line {line_no}: not valid UTF-8") from None
             token, space, rest = raw.partition(" ")
             if not token or not space:
                 flush()  # a fault on an earlier line is reported first

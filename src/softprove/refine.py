@@ -21,7 +21,6 @@ decides that a case without rules cannot go on.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass, field, replace
@@ -29,6 +28,7 @@ from typing import Optional, Sequence
 
 from .chat import ChatClient, ChatError, ChatParams
 from .embeddings import EmbeddingStore
+from .jsontext import dumps_indented
 from .logic import MoralViolation, Rule
 from .principles import load_principles
 from .prompts import ABDUCE, AUTOFORMALIZE, DEDUCE, SEMANTIC
@@ -318,7 +318,8 @@ class RefineTrace:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """The trace as text: the bytes of ``json.dumps(self.to_dict(), indent=2)``."""
+        return dumps_indented(self.to_dict())
 
 
 def refine_loop(

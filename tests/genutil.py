@@ -3,8 +3,8 @@ named substitutions and renaming that the search's numbered ones are checked
 against, the per-pair predicate rule that the candidate scan is checked
 against, the proof walk that ``ProofResult.used_fact_ids`` is checked
 against, the per-line vector-text loader that ``load_embeddings`` is checked
-against, and seeded random generators for knowledge bases, rule documents
-and adversarial KB texts.
+against, and seeded random generators for knowledge bases, rule documents,
+adversarial KB texts and JSON trees.
 
 The oracle re-implements proof enumeration from scratch (plain dicts, an
 explicit stack, no pruning, no candidate ranking) so the solver's best proof
@@ -570,3 +570,56 @@ ADVERSARIAL_FAMILIES = {
     "arity_three": arity_three_kb,
     "chain": chain_kb,
 }
+
+
+# -- JSON trees ----------------------------------------------------------------
+
+# Characters the string encoder escapes or passes through: quotes, backslash,
+# control characters, DEL, non-ASCII letters, an emoji (a surrogate pair in
+# the output), lone surrogates and the separators JavaScript treats as line
+# ends.
+_JSON_CHARS = ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "\r", "\x08", "\x0c", "é", "ß", "π", "\u2028",
+               "\u2029", "\ufeff", "\U0001F600", "\ud800", "\udfff", "a", "Z", "0", " ", "_"]
+_JSON_FLOATS = [0.0, -0.0, 1.0, -1.5, 1e-07, 1e16, 5e-324, 1.7976931348623157e308, 0.1, float("nan"),
+                float("inf"), float("-inf")]
+
+
+def random_json_text(rng: random.Random) -> str:
+    return "".join(rng.choice(_JSON_CHARS) for _ in range(rng.randint(0, 8)))
+
+
+def random_json_scalar(rng: random.Random) -> object:
+    pick = rng.randrange(7)
+    if pick == 0:
+        return random_json_text(rng)
+    if pick == 1:
+        return rng.choice([0, -1, 7, 2**63, -(2**100), 10**30])
+    if pick == 2:
+        return rng.choice(_JSON_FLOATS) if rng.random() < 0.5 else rng.uniform(-1e6, 1e6)
+    if pick == 3:
+        return rng.random() < 0.5
+    if pick == 4:
+        return None
+    if pick == 5:
+        return rng.choice([[], {}, (), [[]], [{}], {"": []}, {"k": {}}])
+    return rng.getrandbits(64) / 2.0**rng.randint(0, 80)
+
+
+def random_json_tree(rng: random.Random, depth: int = 4) -> object:
+    """A tree of what ``json.dumps`` accepts: dicts (with str, int, float,
+    bool and None keys), lists and tuples down to ``depth`` levels, over
+    ``random_json_scalar`` leaves.  Built from ``rng`` alone, so it is the
+    same under any hash seed."""
+    if depth == 0 or rng.random() < 0.3:
+        return random_json_scalar(rng)
+    size = rng.randint(0, 5)
+    pick = rng.randrange(3)
+    if pick == 0:
+        return [random_json_tree(rng, depth - 1) for _ in range(size)]
+    if pick == 1:
+        return tuple(random_json_tree(rng, depth - 1) for _ in range(size))
+    keys = [
+        random_json_text(rng) if rng.random() < 0.8 else rng.choice([1, -2, 2**70, 0.5, 1e-07, True, False, None])
+        for _ in range(size)
+    ]
+    return {key: random_json_tree(rng, depth - 1) for key in keys}

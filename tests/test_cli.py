@@ -411,9 +411,9 @@ def test_missing_file_exit_1(capsys):
     assert code == 1
 
 
-def _bad_input(tmp_path, name: str, text: str) -> str:
+def _bad_input(tmp_path, name: str, text: str, encoding: str = "utf-8") -> str:
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding)
     return str(path)
 
 
@@ -443,6 +443,11 @@ def _bad_input(tmp_path, name: str, text: str) -> str:
         ),
         pytest.param(["parse", "{bad_clause}"], 1, "line 1, column 14: expected ')'", id="bad-clause"),
         pytest.param(["verify", "{frog}", "--embeddings", "{bad_vectors}"], 1, "line 2: expected 2 components, got 1", id="bad-vector-line"),
+        pytest.param(["verify", "{frog}", "--embeddings", "{latin1_vectors}"], 1, "line 2: not valid UTF-8", id="not-utf8-vectors"),
+        pytest.param(
+            ["verify", "{frog}", "--embeddings", "{latin1_vectors}", "--embeddings-cache", "{dir}/x.spemb"],
+            1, "line 2: not valid UTF-8", id="not-utf8-vectors-cached",
+        ),
     ],
 )
 def test_exit_code_contract(tmp_path, capsys, argv, code, message):
@@ -454,6 +459,7 @@ def test_exit_code_contract(tmp_path, capsys, argv, code, message):
         "manifest_string": _bad_input(tmp_path, "string.json", '"cases"'),
         "bad_clause": _bad_input(tmp_path, "bad.pl", "broken(clause"),
         "bad_vectors": _bad_input(tmp_path, "vectors.txt", "cat 1.0 0.0\ndog 1.0\n"),
+        "latin1_vectors": _bad_input(tmp_path, "latin1.txt", "cat 1.0 0.0\ncafé 1.0 0.0\n", "latin-1"),
         "kb": _bad_input(tmp_path, "kb.pl", GOOD_KB),
     }
     got, out, err = _run(capsys, *(arg.format(**paths) for arg in argv))

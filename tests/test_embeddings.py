@@ -145,6 +145,53 @@ def test_first_fault_in_file_order_is_reported(fault):
     assert str(excinfo.value) == message
 
 
+# Texts that are not UTF-8 and the error each must give.
+_NOT_UTF8 = {
+    # two tokens that differ only in a Latin-1 byte
+    "latin1-tokens": (b"caf\xe9 1.0 0.0\ncaf\xe8 0.0 1.0\n", "line 1: not valid UTF-8"),
+    # a bad byte in a numeral is named as such, not as a bad numeral
+    "in-a-numeral": (b"cat 1.0 0.0\ndog 1.0 0.\xff\n", "line 2: not valid UTF-8"),
+    # a truncated two-byte sequence at the end of the text
+    "truncated-at-end": (b"cat 1.0 0.0\ndog 1.0 0.0\xc3", "line 2: not valid UTF-8"),
+    # an encoded surrogate, past two blocks and two blank lines
+    "third-block": (
+        ("cat 1 2\n" + "".join(_filler(2 * BLOCK_LINES - 1)) + "\n\n").encode() + b"\xed\xa0\x80 1 2\n",
+        f"line {2 * BLOCK_LINES + 3}: not valid UTF-8",
+    ),
+    # a bad numeral earlier in the same block is reported first
+    "numeral-first": (b"cat 1 2\ndog 3 x\ncaf\xe9 1 2\n", "line 2: non-numeric vector component"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_NOT_UTF8))
+def test_text_that_is_not_utf8_names_its_line(fault):
+    data, message = _NOT_UTF8[fault]
+    with pytest.raises(EmbeddingError) as excinfo:
+        load_embeddings(io.BytesIO(data))
+    assert str(excinfo.value) == message
+
+
+def test_utf8_tokens_load_also_across_the_decoders_reads():
+    # "é" is two bytes, and the text wrapper decodes reads of 8,192 bytes:
+    # the filler puts one byte on each side of the first boundary
+    filler = "".join(f"w{i} 1 2\n" for i in range(800)).encode()
+    token = "x" * (8191 - len(filler)) + "é"
+    data = filler + f"{token} 1 2\nÉt 3 4\n".encode()
+    assert data[8191:8193] == "é".encode()
+    store = load_embeddings(io.BytesIO(data))
+    assert store.tokens()[-2:] == [token, "ét"]
+    assert load_embeddings(io.BytesIO(b"cat 1 2\ncaf\xe9 1 2\n"), limit=1).tokens() == ["cat"]  # past the limit
+
+
+def test_cached_loader_rejects_text_that_is_not_utf8(tmp_path):
+    source = tmp_path / "vectors.txt"
+    source.write_bytes(_NOT_UTF8["latin1-tokens"][0])
+    cache = tmp_path / "vectors.spemb"
+    with pytest.raises(EmbeddingError, match=r"^line 1: not valid UTF-8$"):
+        load_embeddings_cached(source, cache)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["vectors.txt"]  # no cache, no partial file
+
+
 def _midpoint_numerals(rng: np.random.Generator) -> list[str]:
     """Numerals at the midpoint between two adjacent float32 values: in 17
     significant digits and in shortest form, one double either side of it,
