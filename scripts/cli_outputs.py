@@ -65,6 +65,14 @@ def shipped_commands(data: Path, work: Path, out: Path) -> list[tuple[str, list[
         underscored.append(" ".join([token, *(c[:-2] + "_" + c[-2:] for c in components)]) + "\n")
     (work / "underscore_vectors.txt").write_text("".join(underscored), "utf-8")
     (work / "number.json").write_text("5", "utf-8")
+    # A case whose id is a list and a seed whose id is a number: JSON that the
+    # verdict and trace schemas would not take as a `case_id`.
+    (work / "case_id_list.json").write_text(
+        json.dumps({**json.loads(Path(frog).read_text("utf-8")), "id": ["x"]}), "utf-8"
+    )
+    (work / "seed_id_number.json").write_text(
+        json.dumps({**json.loads((data / "cases/prison_seed.json").read_text("utf-8")), "id": 5}), "utf-8"
+    )
     (work / "cases.json").write_text('"cases"', "utf-8")
     (work / "directory").mkdir(exist_ok=True)
     (work / "sub").mkdir(exist_ok=True)
@@ -153,6 +161,8 @@ def shipped_commands(data: Path, work: Path, out: Path) -> list[tuple[str, list[
         ("error-missing-file", ["parse", str(work / "missing.pl")]),
         ("error-case-not-object", ["verify", str(work / "number.json")]),
         ("error-seed-not-object", ["refine", "--case", str(work / "number.json"), *mock]),
+        ("error-case-id-list", ["verify", str(work / "case_id_list.json"), *vectors, "--json"]),
+        ("error-seed-id-number", ["refine", "--case", str(work / "seed_id_number.json"), *mock, *vectors, "--json"]),
         ("error-kb-directory", ["parse", str(work / "directory")]),
         ("error-embeddings-directory", ["verify", frog, "--embeddings", str(work / "directory")]),
         ("error-manifest-number", ["corpus", "verify", str(work / "number.json")]),

@@ -67,6 +67,7 @@ from .verifier import (
     aggregate_metrics,
     assemble_kb,
     case_from_dict,
+    check_text_keys,
     render_metrics,
     verify_case,
 )
@@ -167,6 +168,7 @@ def cmd_refine(args: argparse.Namespace) -> int:
     for key in ("id", "statement", "frame"):
         if key not in doc:
             raise ValueError(f"{args.case}: seed file missing key {key!r}")
+    check_text_keys(doc, f"{args.case}: seed file")
     seed = CaseSeed(
         id=doc["id"],
         statement=doc["statement"],

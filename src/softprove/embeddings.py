@@ -26,10 +26,13 @@ depend on the vectors only, so searches under any solver settings share it.
 Neither is ever evicted.
 
 A binary cache sidesteps repeated text parsing; it is regenerated whenever the
-source file's content hash (SHA-256) or the ``limit`` changes.  Its layout,
-all integers little-endian:
+source file's content hash (SHA-256) or the ``limit`` changes, and whenever its
+magic is not this version's.  ``SPEMB2`` caches have this layout too, but the
+text loader that built them read bytes that are not UTF-8 as U+FFFD, so such a
+cache can hold a token that the text load now rejects; each is rebuilt once.
+The layout, all integers little-endian:
 
-- magic ``SPEMB2``, then the 32-byte source hash;
+- magic ``SPEMB3``, then the 32-byte source hash;
 - ``<IIII``: limit (0 for none), dimension, token count, token-blob length;
 - the token blob: the tokens in row order, UTF-8, joined by newlines (a text
   line cannot hold one, so ``write_cache`` rejects a token that does);
@@ -51,7 +54,7 @@ from typing import BinaryIO, Mapping, Optional, Union
 
 import numpy as np
 
-CACHE_MAGIC = b"SPEMB2"
+CACHE_MAGIC = b"SPEMB3"
 
 
 class EmbeddingError(ValueError):
@@ -338,7 +341,7 @@ _BLOB_START = len(CACHE_MAGIC) + _HASH_SIZE + _HEADER.size
 
 
 def write_cache(store: EmbeddingStore, cache_path: Union[str, Path], source_hash: bytes, limit: Optional[int]) -> None:
-    """Write ``store`` as an SPEMB2 cache, replacing ``cache_path`` only once the
+    """Write ``store`` as an SPEMB3 cache, replacing ``cache_path`` only once the
     whole file is written."""
     tokens = store.tokens()
     if any("\n" in token for token in tokens):
@@ -361,7 +364,7 @@ def read_cache(cache_path: Union[str, Path]) -> tuple[EmbeddingStore, bytes, Opt
     with open(cache_path, "rb") as fh:
         data = fh.read()
     if data[: len(CACHE_MAGIC)] != CACHE_MAGIC:
-        raise EmbeddingError(f"{cache_path}: not an SPEMB2 cache file")
+        raise EmbeddingError(f"{cache_path}: not an SPEMB3 cache file")
     if len(data) < _BLOB_START:
         raise EmbeddingError(f"{cache_path}: truncated header")
     source_hash = data[len(CACHE_MAGIC) : len(CACHE_MAGIC) + _HASH_SIZE]

@@ -17,22 +17,33 @@ that names no foundation, or facts of which none formalizes into a rule) ends
 it with ``RefineAborted``, which carries the trace of the iterations recorded
 so far.  ``autoformalize`` itself never raises on an empty result; the loop
 decides that a case without rules cannot go on.
+
+The trace says each thing once.  Its top-level ``kb`` is what every
+iteration's knowledge base shares: the frame facts, the principle library and
+the goal declaration, serialized in ``assemble_kb``'s layer order.  Each
+iteration's ``rules`` holds only the serialized rules of that iteration's
+explanation, so the knowledge base it verified is, as text,
+``iteration["rules"] + trace["kb"]``.  An aborted trace carries ``kb`` too.
+An iteration's proof is written once, as its ``proof`` object
+(``prover.proof_to_dict``).
+
+Each step asks the client once more when a reply is malformed, never more.
 """
 
 from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence, TypeVar
 
 from .chat import ChatClient, ChatError, ChatParams
 from .embeddings import EmbeddingStore
 from .jsontext import dumps_indented
 from .logic import MoralViolation, Rule
 from .principles import load_principles
-from .prompts import ABDUCE, AUTOFORMALIZE, DEDUCE, SEMANTIC
-from .prover import ConfigError, ProofResult, SolverConfig, render_proof
+from .prompts import ABDUCE, AUTOFORMALIZE, DEDUCE, SEMANTIC, PromptTemplate
+from .prover import ConfigError, ProofResult, SolverConfig
 from .ruleparse import RuleDocument, parse_rule, serialize
 from .srl import SemanticFrame, frame_to_facts
 from .verifier import (
@@ -46,6 +57,7 @@ from .verifier import (
 logger = logging.getLogger(__name__)
 
 Fact = tuple[str, str]  # (fact id, text)
+T = TypeVar("T")
 
 
 class RefineError(RuntimeError):
@@ -87,6 +99,12 @@ def parse_premises(reply: str) -> list[str]:
     return premises
 
 
+def _premises(reply: str) -> tuple[list[str], bool]:
+    """The reply's premises; it is well formed when it has any."""
+    premises = parse_premises(reply)
+    return premises, bool(premises)
+
+
 def parse_hypothesis(reply: str) -> MoralViolation:
     """The single foundation named by the reply's hypothesis text."""
     marker = _HYPOTHESIS_LINE.search(reply)
@@ -116,6 +134,26 @@ def _numbered(texts: Sequence[str]) -> str:
 # -- pipeline operations -------------------------------------------------------
 
 
+def _ask(
+    client: ChatClient, params: ChatParams, template: PromptTemplate,
+    parse: Callable[[str], tuple[T, bool]], error: str, **slots: str,
+) -> T:
+    """What ``parse`` makes of the reply to ``template`` filled with ``slots``.
+
+    ``parse`` gives a value and whether the reply was well formed.  A malformed
+    reply is asked for once more; if that one is malformed too, it raises
+    ``RefineError(error)``, or gives its value when ``error`` is empty.
+    """
+    messages = template.render(**slots)
+    tagged = params.tagged(template.role)
+    value, well_formed = parse(client.complete(messages, tagged))
+    if not well_formed:
+        value, well_formed = parse(client.complete(messages, tagged))
+        if not well_formed and error:
+            raise RefineError(error)
+    return value
+
+
 def semantic_inference(
     statement: str,
     frame: SemanticFrame,
@@ -124,20 +162,16 @@ def semantic_inference(
     principles_text: str = "",
 ) -> tuple[list[Fact], MoralViolation]:
     """Initial explanation facts and violation hypothesis for a statement."""
-    messages = SEMANTIC.render(
-        statement=statement, frame=frame_summary(frame), principles=principles_text
-    )
-    tagged = params.tagged(SEMANTIC.role)
-    reply = client.complete(messages, tagged)
-    premises = parse_premises(reply)
-    if not premises or _HYPOTHESIS_LINE.search(reply) is None:
-        reply = client.complete(messages, tagged)
+
+    def parse(reply: str) -> tuple[tuple[list[str], str], bool]:
         premises = parse_premises(reply)
-        if not premises or _HYPOTHESIS_LINE.search(reply) is None:
-            raise RefineError("reply lacks Premises:/Hypothesis: structure")
-    hypothesis = parse_hypothesis(reply)
-    facts = [(f"f{i}", text) for i, text in enumerate(premises, start=1)]
-    return facts, hypothesis
+        return (premises, reply), bool(premises) and _HYPOTHESIS_LINE.search(reply) is not None
+
+    premises, reply = _ask(
+        client, params, SEMANTIC, parse, "reply lacks Premises:/Hypothesis: structure",
+        statement=statement, frame=frame_summary(frame), principles=principles_text,
+    )
+    return [(f"f{i}", text) for i, text in enumerate(premises, start=1)], parse_hypothesis(reply)
 
 
 def autoformalize(
@@ -152,17 +186,14 @@ def autoformalize(
     dropped with a logged warning, never silently.  No fact, or no parsable
     clause, gives no rules.
     """
-    tagged = params.tagged(AUTOFORMALIZE.role)
     summary = frame_summary(frame)
     rules: list[Rule] = []
     warnings: list[str] = []
     for fact_id, text in nl_facts:
-        messages = AUTOFORMALIZE.render(facts=text, frame=summary)
-        reply = client.complete(messages, tagged)
-        parsed, bad = _parse_clauses(reply, fact_id)
-        if bad:
-            reply = client.complete(messages, tagged)
-            parsed, bad = _parse_clauses(reply, fact_id)
+        parsed, bad = _ask(
+            client, params, AUTOFORMALIZE, lambda reply: _parse_clauses(reply, fact_id), "",
+            facts=text, frame=summary,
+        )
         for line, error in bad:
             message = f"fact {fact_id}: dropped unparsable clause {line!r} ({error})"
             warnings.append(message)
@@ -171,7 +202,8 @@ def autoformalize(
     return rules, warnings
 
 
-def _parse_clauses(reply: str, fact_id: str) -> tuple[list[Rule], list[tuple[str, str]]]:
+def _parse_clauses(reply: str, fact_id: str) -> tuple[tuple[list[Rule], list[tuple[str, str]]], bool]:
+    """The reply's rules and its unparsable lines, well formed when it has none."""
     parsed: list[Rule] = []
     bad: list[tuple[str, str]] = []
     index = 0
@@ -186,7 +218,7 @@ def _parse_clauses(reply: str, fact_id: str) -> tuple[list[Rule], list[tuple[str
             index += 1
         except ValueError as exc:
             bad.append((line, str(exc)))
-    return parsed, bad
+    return (parsed, bad), not bad
 
 
 def abductive_inference(
@@ -202,17 +234,10 @@ def abductive_inference(
 
     Duplicates of existing facts (case-insensitive text match) are removed.
     """
-    messages = ABDUCE.render(
-        statement=statement, facts=_numbered(kept_facts), hypothesis=hypothesis.value
+    premises = _ask(
+        client, params, ABDUCE, _premises, "abductive reply contains no premises",
+        statement=statement, facts=_numbered(kept_facts), hypothesis=hypothesis.value,
     )
-    tagged = params.tagged(ABDUCE.role)
-    reply = client.complete(messages, tagged)
-    premises = parse_premises(reply)
-    if not premises:
-        reply = client.complete(messages, tagged)
-        premises = parse_premises(reply)
-        if not premises:
-            raise RefineError("abductive reply contains no premises")
     seen = {t.strip().casefold() for t in existing_texts}
     fresh: list[Fact] = []
     index = first_fact_index
@@ -234,13 +259,10 @@ def deductive_inference(
     """Re-derive the violated foundation from the (extended) explanation."""
     if not nl_facts:
         raise RefineError("deduction needs at least one fact")
-    messages = DEDUCE.render(facts=_numbered([t for _, t in nl_facts]))
-    tagged = params.tagged(DEDUCE.role)
-    reply = client.complete(messages, tagged)
-    if not reply.strip():
-        reply = client.complete(messages, tagged)
-        if not reply.strip():
-            raise RefineError("deductive reply is empty")
+    reply = _ask(
+        client, params, DEDUCE, lambda reply: (reply, bool(reply.strip())),
+        "deductive reply is empty", facts=_numbered([t for _, t in nl_facts]),
+    )
     return parse_hypothesis(reply)
 
 
@@ -253,6 +275,17 @@ class CaseSeed:
     statement: str
     frame: SemanticFrame
     gold_violation: Optional[MoralViolation] = None
+
+    def case(self, facts: tuple[Fact, ...], hypothesis: MoralViolation) -> EthicalCase:
+        """The case this seed states with ``facts`` as its explanation."""
+        return EthicalCase(
+            id=self.id,
+            statement=self.statement,
+            frame=self.frame,
+            nl_facts=facts,
+            hypothesis=hypothesis,
+            gold_violation=self.gold_violation,
+        )
 
 
 @dataclass(frozen=True)
@@ -272,7 +305,7 @@ class IterationRecord:
     index: int
     explanation: tuple[Fact, ...]
     hypothesis: MoralViolation
-    kb_text: str
+    rules_text: str  # the explanation's rules; the trace's ``kb_text`` follows them in the KB
     outcome: VerificationOutcome
     added_facts: tuple[Fact, ...] = ()
     pruned_fact_ids: tuple[str, ...] = ()
@@ -287,6 +320,7 @@ class IterationRecord:
 class RefineTrace:
     case_id: str
     statement: str
+    kb_text: str  # frame facts, principles and goal declaration: what every iteration's KB shares
     records: tuple[IterationRecord, ...]
     valid: bool
     non_redundant: bool
@@ -303,8 +337,7 @@ class RefineTrace:
                 "pruned_fact_ids": list(record.pruned_fact_ids),
                 "dropped_clauses": list(record.dropped_clauses),
                 **record.outcome.to_dict(),
-                "proof_render": render_proof(record.proof) if record.proof else None,
-                "kb": record.kb_text,
+                "rules": record.rules_text,
             }
 
         return {
@@ -315,6 +348,7 @@ class RefineTrace:
             "final_hypothesis": self.final_hypothesis.value if self.final_hypothesis else None,
             "final_explanation": [{"id": i, "text": t} for i, t in self.final_explanation],
             "iterations": [record_dict(r) for r in self.records],
+            "kb": self.kb_text,
         }
 
     def to_json(self) -> str:
@@ -332,24 +366,22 @@ def refine_loop(
 
     Any ``ChatError`` or ``RefineError`` raises ``RefineAborted`` with the
     trace of the iterations recorded so far."""
+    principle_doc = load_principles(config.principles_path)
+    if not principle_doc.goal_decls:
+        raise ConfigError("principle library declares no goals")
+    srl_rules = frame_to_facts(seed.frame)
+    shared = assemble_kb(principle_doc.rules, principle_doc.goal_decls, srl_rules, ())
+    kb_text = serialize(RuleDocument(rules=shared.rules, goal_decls=shared.goals))
     records: list[IterationRecord] = []
     try:
-        facts, hypothesis = _iterate(seed, config, client, store, records)
+        facts, hypothesis = _iterate(seed, config, client, store, principle_doc, srl_rules, records)
     except (ChatError, RefineError) as exc:
-        trace = _finish_trace(seed, records, valid=False, facts=(), hypothesis=None)
+        trace = _finish_trace(seed, kb_text, records, valid=False, facts=(), hypothesis=None)
         raise RefineAborted(trace, exc) from exc
-    final_case = EthicalCase(
-        id=seed.id,
-        statement=seed.statement,
-        frame=seed.frame,
-        nl_facts=facts,
-        hypothesis=hypothesis,
-        gold_violation=seed.gold_violation,
-    )
     trace = _finish_trace(
-        seed, records, valid=records[-1].outcome.valid, facts=facts, hypothesis=hypothesis
+        seed, kb_text, records, valid=records[-1].outcome.valid, facts=facts, hypothesis=hypothesis
     )
-    return final_case, trace
+    return seed.case(facts, hypothesis), trace
 
 
 def _iterate(
@@ -357,16 +389,13 @@ def _iterate(
     config: RefineConfig,
     client: ChatClient,
     store: EmbeddingStore,
+    principle_doc: RuleDocument,
+    srl_rules: Sequence[Rule],
     records: list[IterationRecord],
 ) -> tuple[tuple[Fact, ...], MoralViolation]:
     """The loop's iterations, appended to ``records``; returns the final facts
     and hypothesis."""
-    principle_doc = load_principles(config.principles_path)
-    if not principle_doc.goal_decls:
-        raise ConfigError("principle library declares no goals")
     principles_slot = serialize(RuleDocument(rules=principle_doc.rules))
-    srl_rules = frame_to_facts(seed.frame)
-
     fact_list, hypothesis = semantic_inference(
         seed.statement, seed.frame, client, config.params, principles_slot
     )
@@ -384,48 +413,35 @@ def _iterate(
             new_rules, dropped = autoformalize(fresh, seed.frame, client, config.params)
             for fid, _ in fresh:
                 formalized[fid] = [r for r in new_rules if r.fact_id == fid]
-        rules = [rule for fid, _ in facts for rule in formalized[fid]]
+        rules = tuple(rule for fid, _ in facts for rule in formalized[fid])
         if not rules and facts:  # no facts left: confirm on principles and frame facts
             raise RefineError("no formalized rules parsed from any fact")
         kb = assemble_kb(principle_doc.rules, principle_doc.goal_decls, srl_rules, rules)
-        case = EthicalCase(
-            id=seed.id,
-            statement=seed.statement,
-            frame=seed.frame,
-            nl_facts=facts,
-            hypothesis=hypothesis,
-            gold_violation=seed.gold_violation,
-        )
-        outcome = verify_case(case, kb, store, config.solver)
-        kb_text = serialize(RuleDocument(rules=kb.rules, goal_decls=kb.goals))
-        record = IterationRecord(
-            index=iteration,
-            explanation=facts,
-            hypothesis=hypothesis,
-            kb_text=kb_text,
-            outcome=outcome,
-            added_facts=added,
-            dropped_clauses=tuple(dropped),
+        outcome = verify_case(seed.case(facts, hypothesis), kb, store, config.solver)
+        unused = outcome.unused_fact_ids  # non-empty only for a valid but redundant outcome
+        records.append(
+            IterationRecord(
+                index=iteration,
+                explanation=facts,
+                hypothesis=hypothesis,
+                rules_text=serialize(RuleDocument(rules=rules)),
+                outcome=outcome,
+                added_facts=added,
+                pruned_fact_ids=tuple(fid for fid, _ in facts if fid in unused),
+                dropped_clauses=tuple(dropped),
+            )
         )
         added = ()
 
         if outcome.valid:
-            if outcome.kind is OutcomeKind.VALID_REDUNDANT:
-                unused = outcome.unused_fact_ids
-                pruned = tuple(fid for fid, _ in facts if fid in unused)
-                record = replace(record, pruned_fact_ids=pruned)
-                records.append(record)
-                facts = tuple((fid, t) for fid, t in facts if fid not in unused)
-                if not confirming and iteration < config.max_iterations:
-                    # One confirmation pass so the trace shows the pruned state.
-                    confirming = True
-                    iteration += 1
-                    continue
-            else:
-                records.append(record)
+            facts = tuple(fact for fact in facts if fact[0] not in unused)
+            if unused and not confirming and iteration < config.max_iterations:
+                # One confirmation pass so the trace shows the pruned state.
+                confirming = True
+                iteration += 1
+                continue
             return facts, hypothesis
 
-        records.append(record)
         if iteration >= config.max_iterations:
             return facts, hypothesis
         used = outcome.proof.used_fact_ids if outcome.proof else frozenset()
@@ -448,6 +464,7 @@ def _iterate(
 
 def _finish_trace(
     seed: CaseSeed,
+    kb_text: str,
     records: Sequence[IterationRecord],
     valid: bool,
     facts: tuple[Fact, ...],
@@ -456,6 +473,7 @@ def _finish_trace(
     return RefineTrace(
         case_id=seed.id,
         statement=seed.statement,
+        kb_text=kb_text,
         records=tuple(records),
         valid=valid,
         non_redundant=valid and records[-1].outcome.kind is OutcomeKind.VALID_NON_REDUNDANT,

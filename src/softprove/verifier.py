@@ -209,6 +209,14 @@ def _entries(doc: dict, key: str, fields: tuple[str, ...]) -> list[dict]:
     return entries
 
 
+def check_text_keys(doc: dict, what: str) -> None:
+    """A case's or seed's ``id`` and ``statement`` must be strings, as the
+    verdict and trace JSON print them."""
+    for key in ("id", "statement"):
+        if not isinstance(doc[key], str):
+            raise ValueError(f"{what}: {key} must be a string, got {type(doc[key]).__name__}")
+
+
 def case_from_dict(doc: object) -> tuple[EthicalCase, tuple[Rule, ...]]:
     """Load an EthicalCase plus its pre-formalized rules from JSON data."""
     if not isinstance(doc, dict):
@@ -216,6 +224,7 @@ def case_from_dict(doc: object) -> tuple[EthicalCase, tuple[Rule, ...]]:
     for key in ("id", "statement", "frame", "nl_facts", "hypothesis"):
         if key not in doc:
             raise ValueError(f"case document missing key: {key}")
+    check_text_keys(doc, "case document")
     frame = frame_from_dict(doc["frame"])
     nl_facts = tuple((f["id"], f["text"]) for f in _entries(doc, "nl_facts", ("id", "text")))
     case = EthicalCase(

@@ -1,8 +1,11 @@
-"""The benchmark's traced run wraps these package functions by name; a
-rename or deletion must fail here, not only as ``benchmark/run.py`` exiting 3."""
+"""The benchmark's traced run wraps these package functions by name, and its
+checks read these parts of the program's results; a rename, deletion or
+layout change must fail here, not only as ``benchmark/run.py`` exiting 3 or
+failing every operation."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
@@ -82,3 +85,30 @@ def test_prove_all_goals_calls_the_traced_prove_goal_once_per_goal(monkeypatch, 
     kb = assemble_kb(doc.rules, doc.goal_decls, frame_to_facts(case.frame), rules)
     assert prover.prove_all_goals(kb, kb.goals, demo_store) is not None
     assert goals == list(kb.goals)
+
+
+def test_refine_check_reads_what_the_trace_holds(prison_runs):
+    # What benchmark/workloads.py's refine check reads from each trace: the
+    # records' outcome kinds, proofs and explanations, the final hypothesis,
+    # explanation and non_redundant flag, and the JSON's iterations[].outcome.
+    from softprove.logic import MoralViolation
+    from softprove.prover import ProofResult
+
+    assert set(prison_runs) == {"iterations-0", "iterations-1", "iterations-2", "iterations-3", "aborted"}
+    for name, (trace, _) in prison_runs.items():
+        outcomes = [record.outcome.kind.value for record in trace.records]
+        assert outcomes, name
+        assert [i["outcome"] for i in json.loads(trace.to_json())["iterations"]] == outcomes
+        for record in trace.records:
+            assert record.proof is None or isinstance(record.proof, ProofResult)
+            assert (record.proof is None) == (record.outcome.kind.value == "invalid_no_proof")
+            assert all(isinstance(fid, str) and isinstance(text, str) for fid, text in record.explanation)
+        assert trace.final_hypothesis is None or isinstance(trace.final_hypothesis.value, str)
+        assert all(isinstance(fid, str) and isinstance(text, str) for fid, text in trace.final_explanation)
+        assert trace.non_redundant is (outcomes[-1] == "valid_non_redundant" and trace.valid)
+    aborted, _ = prison_runs["aborted"]
+    assert (aborted.final_hypothesis, aborted.final_explanation, aborted.non_redundant) == (None, (), False)
+    finished, _ = prison_runs["iterations-3"]
+    assert finished.final_hypothesis is MoralViolation.AUTHORITY
+    written = json.loads(finished.to_json())["final_explanation"]
+    assert [list(fact) for fact in finished.final_explanation] == [[f["id"], f["text"]] for f in written]

@@ -368,8 +368,18 @@ BAD_CASES = {
     "rule-without-clause": dict(FROG, rules=[{"fact_id": "f1"}]),
     "rule-without-fact-id": dict(FROG, rules=[{"clause": "compression(X) :- crush(X). = 1.0"}]),
     "rule-a-string": dict(FROG, rules=["compression(X) :- crush(X). = 1.0"]),
+    "id-a-list": dict(FROG, id=["x"]),
+    "id-a-number": dict(FROG, id=5),
+    "statement-a-number": dict(FROG, statement=5),
 }
-BAD_SEEDS = {"number": 5, "frame-list": dict(PRISON, frame=["a"]), "frame-string": dict(PRISON, frame="kick")}
+BAD_SEEDS = {
+    "number": 5,
+    "frame-list": dict(PRISON, frame=["a"]),
+    "frame-string": dict(PRISON, frame="kick"),
+    "id-a-number": dict(PRISON, id=5),
+    "id-a-list": dict(PRISON, id=["x"]),
+    "statement-null": dict(PRISON, statement=None),
+}
 REFINE = ["refine", "--mock", data_path("transcripts/prison.json"), "--case"]
 
 
@@ -384,6 +394,24 @@ def test_malformed_case_or_seed_is_an_input_error(tmp_path, capsys, command, doc
     code, _, err = _run(capsys, *command, str(path))
     assert code == 1
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        (["verify"], dict(FROG, id=["x"]), "case document: id must be a string, got list"),
+        (REFINE, dict(PRISON, id=5), "{path}: seed file: id must be a string, got int"),
+        (REFINE, dict(PRISON, statement=["x"]), "{path}: seed file: statement must be a string, got list"),
+    ],
+    ids=["verify-id-a-list", "refine-id-a-number", "refine-statement-a-list"],
+)
+def test_non_string_id_or_statement_is_named(tmp_path, capsys, command, doc, message):
+    # Such a file used to exit 0 with a `case_id` of the wrong JSON type.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, *command, str(path), "--json")
+    assert (code, out) == (1, "")
+    assert err == f"error: {message.format(path=path)}\n"
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ import pytest
 from softprove import embeddings
 from softprove.embeddings import (
     BLOCK_LINES,
+    CACHE_MAGIC,
     EmbeddingError,
     EmbeddingStore,
     load_embeddings,
@@ -456,12 +457,14 @@ def _spemb1_bytes(store: EmbeddingStore, source_hash: bytes) -> bytes:
 def _count_disagrees_with_blob(good: bytes, dimension: int) -> bytes:
     """One fewer token in the header than in the blob, the matrix cut to match
     the header, so that only the token count is wrong."""
-    at = len(b"SPEMB2") + 32 + 8
+    at = len(CACHE_MAGIC) + 32 + 8
     (count,) = struct.unpack_from("<I", good, at)
     return good[:at] + struct.pack("<I", count - 1) + good[at + 4 : len(good) - 4 * dimension]
 
 
-@pytest.mark.parametrize("damage", ["spemb1_layout", "truncated_by_one_byte", "count_disagrees_with_blob"])
+@pytest.mark.parametrize(
+    "damage", ["spemb1_layout", "spemb2_magic", "truncated_by_one_byte", "count_disagrees_with_blob"]
+)
 def test_damaged_or_old_cache_is_rebuilt(tmp_path, damage):
     source = tmp_path / "vectors.txt"
     source.write_text(_vectors_text(random.Random(31), ["cat", "dog", "Frog", "toad"], 4), "utf-8")
@@ -471,6 +474,10 @@ def test_damaged_or_old_cache_is_rebuilt(tmp_path, damage):
     good = cache.read_bytes()
     if damage == "spemb1_layout":
         cache.write_bytes(_spemb1_bytes(expected, hashlib.sha256(source.read_bytes()).digest()))
+    elif damage == "spemb2_magic":
+        # The same layout under the previous magic, which a text loader that
+        # read bad UTF-8 as U+FFFD may have built.
+        cache.write_bytes(b"SPEMB2" + good[len(CACHE_MAGIC) :])
     elif damage == "truncated_by_one_byte":
         cache.write_bytes(good[:-1])
     else:
@@ -484,6 +491,19 @@ def test_damaged_or_old_cache_is_rebuilt(tmp_path, damage):
         assert rebuilt.token_vector(token).tobytes() == expected.token_vector(token).tobytes()
     assert cache.read_bytes() == good
     assert read_cache(cache)[0].tokens() == expected.tokens()
+
+
+def test_cache_an_older_version_built_from_bad_utf8_is_not_loaded(tmp_path):
+    # The previous text loader read bytes that are not UTF-8 as U+FFFD and
+    # cached the mangled tokens under the source's hash with the same layout.
+    source = tmp_path / "latin1.txt"
+    source.write_bytes(b"caf\xe9 1.0 0.0\ncaf\xe8 0.0 1.0\n")
+    cache = tmp_path / "latin1.spemb"
+    mangled = EmbeddingStore(2, {"caf\ufffd": np.array([1.0, 0.0])})
+    write_cache(mangled, cache, hashlib.sha256(source.read_bytes()).digest(), limit=None)
+    cache.write_bytes(b"SPEMB2" + cache.read_bytes()[len(CACHE_MAGIC) :])
+    with pytest.raises(EmbeddingError, match="line 1: not valid UTF-8"):
+        load_embeddings_cached(source, cache)
 
 
 def test_cache_rejects_a_token_with_a_newline(tmp_path):

@@ -1,11 +1,14 @@
 import json
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 
 import pytest
 
 from softprove.chat import ChatError, MockTranscript, TranscriptEntry
 from softprove.logic import MoralViolation
+from softprove.principles import load_principles
 from softprove.prompts import ABDUCE, AUTOFORMALIZE, DEDUCE, SEMANTIC
+from softprove.ruleparse import RuleDocument, format_goal_decl, serialize
 from softprove.refine import (
     CaseSeed,
     RefineAborted,
@@ -197,6 +200,78 @@ def test_deduction_deterministic_with_mock():
     assert deductive_inference(facts, client) is deductive_inference(facts, client)
 
 
+# -- asking once more -----------------------------------------------------------------
+
+
+class _Scripted:
+    """A client that gives ``replies`` in turn and records the role of each call."""
+
+    def __init__(self, *replies):
+        self.replies = list(replies)
+        self.roles = []
+
+    def complete(self, messages, params):
+        self.roles.append(params.role)
+        return self.replies.pop(0)
+
+
+# Each step: how to call it, a reply it takes as malformed, and a good reply.
+STEPS = {
+    "semantic": (
+        lambda c: semantic_inference("the frog", FROG_FRAME, c),
+        "Premises:\n1. A fact.",
+        "Premises:\n1. A fact.\nHypothesis: care",
+    ),
+    "autoformalize": (
+        lambda c: autoformalize([("f1", "a fact")], FROG_FRAME, c),
+        "not a clause",
+        "a_fact(X) :- crush(X). = 1.0",
+    ),
+    "abduce": (
+        lambda c: abductive_inference([], MoralViolation.CARE, "s", c),
+        "Hypothesis: care",
+        "Premises:\n1. A fact.",
+    ),
+    "deduce": (lambda c: deductive_inference([("f1", "a fact")], c), "  ", "Hypothesis: care"),
+}
+GIVE_UP = {
+    "semantic": "^reply lacks Premises:/Hypothesis: structure$",
+    "abduce": "^abductive reply contains no premises$",
+    "deduce": "^deductive reply is empty$",
+}
+
+
+@pytest.mark.parametrize("role", STEPS)
+def test_a_malformed_reply_is_asked_for_once_more(role):
+    step, malformed, good = STEPS[role]
+    first = _Scripted(good)
+    second = _Scripted(malformed, good)
+    assert step(second) == step(first)
+    assert (first.roles, second.roles) == ([role], [role, role])
+
+
+@pytest.mark.parametrize("role", STEPS)
+def test_a_second_malformed_reply_ends_the_asking(role):
+    step, malformed, good = STEPS[role]
+    client = _Scripted(malformed, malformed, good)
+    if role in GIVE_UP:
+        with pytest.raises(RefineError, match=GIVE_UP[role]):
+            step(client)
+    else:  # the unparsable line is dropped with a warning
+        (warning,) = step(client)[1]
+        assert warning.startswith("fact f1: dropped unparsable clause 'not a clause' (")
+    assert client.roles == [role, role]
+
+
+@pytest.mark.parametrize("role", ["semantic", "deduce"])
+def test_an_unknown_foundation_is_not_asked_again(role):
+    step, _, good = STEPS[role]
+    client = _Scripted(good.replace("care", "honor"), good)
+    with pytest.raises(RefineError, match="names no known foundation: 'honor'"):
+        step(client)
+    assert client.roles == [role]
+
+
 # -- the loop ---------------------------------------------------------------------------
 
 
@@ -375,6 +450,7 @@ def test_facts_without_rules_abort_the_loop(demo_store):
         refine_loop(seed, RefineConfig(), client, demo_store)
     assert excinfo.value.trace.records == ()
     assert not excinfo.value.trace.valid
+    assert excinfo.value.trace.kb_text.endswith(format_goal_decl(load_principles().goal_decls) + "\n")
 
 
 def test_no_fabrication_in_strict_mode(demo_store):
@@ -386,11 +462,38 @@ def test_no_fabrication_in_strict_mode(demo_store):
             assert any(text in response for response in responses)
 
 
-def test_trace_validates_against_schema(demo_store):
+def test_trace_validates_against_schema(prison_runs):
     import jsonschema
 
-    _, trace = refine_loop(_prison_seed(), RefineConfig(), _prison_client(), demo_store)
     schema = json.loads(
         resources.files("softprove").joinpath("data/schemas/trace.schema.json").read_text()
     )
-    jsonschema.validate(trace.to_dict(), schema)
+    for trace, _ in prison_runs.values():
+        jsonschema.validate(json.loads(trace.to_json()), schema)
+
+
+# -- the trace layout: each thing once --------------------------------------------------
+
+
+def test_each_iteration_rules_followed_by_the_trace_kb_is_the_kb_it_verified(prison_runs):
+    for name, (trace, verified) in prison_runs.items():
+        doc = json.loads(trace.to_json())
+        assert len(verified) == len(trace.records) == len(doc["iterations"]), name
+        for kb, record, written in zip(verified, trace.records, doc["iterations"]):
+            expected = serialize(RuleDocument(rules=kb.rules, goal_decls=kb.goals))
+            assert record.rules_text + trace.kb_text == expected, name
+            assert written["rules"] + doc["kb"] == expected, name
+            assert written["rules"] == "".join(f"{rule.text}\n" for rule in kb.rules if rule.fact_id), name
+
+
+def test_each_principle_clause_is_written_once(prison_runs, principle_doc):
+    for name, (trace, _) in prison_runs.items():
+        text = trace.to_json()
+        assert {text.count(encode_basestring_ascii(rule.text)[1:-1]) for rule in principle_doc.rules} == {1}, name
+
+
+def test_no_proof_is_written_twice(prison_runs):
+    for name, (trace, _) in prison_runs.items():
+        iterations = json.loads(trace.to_json())["iterations"]
+        assert all("proof_render" not in iteration for iteration in iterations), name
+        assert any(iteration["proof"] for iteration in iterations) == (name != "aborted" and name != "iterations-0")
