@@ -12,10 +12,11 @@ it exists: ``prove --json`` on each ``large_kb`` KB, ``verify --json`` on each
 iteration budget and ``--out`` to write its trace, the first seed also
 without a vector cache, so that the whole vector text is parsed.  On the
 shipped data, ``corpus verify`` also runs over variants of the frog case at
-iterations 0, 1 and 2 (once with ``--out`` to write the report) and over an
-empty manifest, ``verify`` runs on the demo vectors with every component
-spelled with an underscore (``1.000_00``), and ``prove`` runs on a rule with
-a 1,200-atom body, on a KB whose search finds no proof after 4^9 paths, and,
+iterations 0, 1 and 2 (once with ``--out`` to write the report), over an
+iteration that is not an integer (``1.9``) and over an empty manifest,
+``verify`` runs on the demo vectors with every component spelled with an
+underscore (``1.000_00``), and ``prove`` runs on a rule with a 1,200-atom
+body, on a KB whose search finds no proof after 4^9 paths, and,
 in text and ``--json``, on a KB of 10,201 tying proofs that the proof budget
 cuts off.  The bad-input commands give the exit codes and ``error:`` lines.
 
@@ -125,6 +126,11 @@ def shipped_commands(data: Path, work: Path, out: Path) -> list[tuple[str, list[
         (work / name).write_text(json.dumps({**doc, "iteration": iteration}), "utf-8")
         iteration_cases.append(name)
     (work / "iterations.json").write_text(json.dumps({"cases": iteration_cases, "split": "iterations"}), "utf-8")
+    # An iteration that is not a JSON integer fails its case; the frog case
+    # beside it is still counted.
+    (work / "iteration-float.json").write_text(json.dumps({**case, "iteration": 1.9}), "utf-8")
+    cases = [iteration_cases[0], "iteration-float.json"]
+    (work / "iteration-float-manifest.json").write_text(json.dumps({"cases": cases}), "utf-8")
     (work / "empty.json").write_text(json.dumps({"cases": []}), "utf-8")
 
     return [
@@ -144,6 +150,7 @@ def shipped_commands(data: Path, work: Path, out: Path) -> list[tuple[str, list[
         ("corpus-iterations-json", ["corpus", "verify", str(work / "iterations.json"), *vectors, "--json"]),
         ("corpus-iterations-report",
          ["corpus", "verify", str(work / "iterations.json"), *vectors, "--out", str(out / "corpus-iterations.report.json")]),
+        ("corpus-iteration-float", ["corpus", "verify", str(work / "iteration-float-manifest.json"), *vectors]),
         ("corpus-empty", ["corpus", "verify", str(work / "empty.json"), *vectors]),
         ("corpus-empty-json", ["corpus", "verify", str(work / "empty.json"), *vectors, "--json"]),
         ("prove-long-body", ["prove", str(work / "long_body.pl")]),

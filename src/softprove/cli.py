@@ -219,8 +219,11 @@ def cmd_corpus_verify(args: argparse.Namespace) -> int:
         try:
             doc = json.loads((base / path_text).read_text("utf-8"))
             case, rules = case_from_dict(doc)
+            iteration = doc.get("iteration", 0)
+            if isinstance(iteration, bool) or not isinstance(iteration, int):
+                raise ValueError(f"case {case.id}: iteration must be an integer, got {iteration!r}")
             kb = assemble_kb(principle_doc.rules, principle_doc.goal_decls, frame_to_facts(case.frame), rules)
-            outcomes.append((int(doc.get("iteration", 0)), verify_case(case, kb, store, config)))
+            outcomes.append((iteration, verify_case(case, kb, store, config)))
         except Exception as exc:  # per-case failures never abort the corpus run
             failures.append(str(path_text))
             print(f"case failed: {path_text}: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -222,18 +222,28 @@ def candidate_rules(
     above the unify threshold.  Each similarity comes from the store's table
     (``EmbeddingStore.similarities``); ``weak_unify_score`` is called only for
     a pair the store has never scored.
+
+    Each group's positions are in knowledge-base order already, so the
+    result is sorted only when two or more groups unify: with none it is
+    empty, with one it is that group's rules as they stand.
     """
     rules = kb.rules
     predicate, threshold = goal.predicate, config.unify_threshold
     similarities = store.similarities(predicate)
-    scored: list[tuple[int, float]] = []
+    hits: list[tuple[Sequence[int], float]] = []
     for head, positions in kb.head_groups(goal.arity).items():
         score = similarities.get(head)
         if score is None:
             score = weak_unify_score(store, predicate, head)
         if score >= threshold:
-            scored.extend((position, score) for position in positions)
-    scored.sort()  # positions are distinct: back into knowledge-base order
+            hits.append((positions, score))
+    if not hits:
+        return []
+    if len(hits) == 1:
+        positions, score = hits[0]
+        return [(rules[position], score) for position in positions]
+    # positions are distinct: back into knowledge-base order
+    scored = sorted([(position, score) for positions, score in hits for position in positions])
     return [(rules[position], score) for position, score in scored]
 
 

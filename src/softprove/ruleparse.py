@@ -14,6 +14,16 @@ Grammar (whitespace-insensitive, ``%`` line comments):
 A clause with no ``= <score>`` suffix is a true fact (score 1.0).  This
 format is the interchange format for principle libraries, semantic-role
 facts, and formalized explanation facts.
+
+One grammar, two readers.  The token parser (``_Parser``) reads all of it:
+documents (``parse_kb``), goal declarations, comments, and the position of
+every error, with recovery.  ``parse_rule``, which reads the single clauses
+of case files and formalized explanations, first tries one full match of
+``_CLAUSE_RE``: a clause without comments whose atoms have at most
+``MAX_ARITY`` terms.  When that matches and the score is in (0, 1], it
+builds the rule from the match through the same validating constructors.
+Any other text goes to the token parser, so every ``RuleSyntaxError`` comes
+from the token parser alone.
 """
 
 from __future__ import annotations
@@ -197,11 +207,38 @@ class _Parser:
                 return
 
 
+# A well-formed clause with no comment, as one match: atoms of at most
+# ``MAX_ARITY`` terms, a score of at most 6 fractional digits.  Whitespace
+# and each token class are those of ``_TOKEN_RE``; a term and a whitespace
+# run share no character, so a failed match backtracks in linear time.
+_WS = r"[ \t\r\n]*"
+_TERM = rf"(?:[a-z][a-z0-9_]*|[A-Z][A-Za-z0-9_]*){_WS}"
+_ATOM = rf"[a-z][a-z0-9_]*{_WS}\({_WS}{_TERM}(?:,{_WS}{_TERM}){{0,{MAX_ARITY - 1}}}\){_WS}"
+_CLAUSE_RE = re.compile(
+    rf"{_WS}{_ATOM}(?::-{_WS}{_ATOM}(?:,{_WS}{_ATOM})*)?\.{_WS}(?:={_WS}([0-9]+(?:\.[0-9]{{1,6}})?){_WS})?"
+)
+# In a text that ``_CLAUSE_RE`` accepts: each atom's predicate and arguments,
+# and each argument.
+_ATOM_PARTS_RE = re.compile(r"([a-z][a-z0-9_]*)[ \t\r\n]*\(([^)]*)\)")
+_ARG_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+
 def parse_rule(text: str, rule_id: str = "r0", fact_id: Optional[str] = None) -> Rule:
     """Parse a single clause; raises RuleSyntaxError with position on bad input.
 
     ``fact_id`` tags a formalized rule with the explanation fact it came from.
+    A clause that ``_CLAUSE_RE`` accepts, with a score in (0, 1], is built
+    from that match; any other text is read, and its error raised, by the
+    token parser.
     """
+    match = _CLAUSE_RE.fullmatch(text)
+    score = 1.0 if match is None or match[1] is None else float(match[1])
+    if match is not None and 0.0 < score <= 1.0:
+        head, *body = [
+            Atom(predicate, tuple([Variable(t) if t[0].isupper() else Constant(t) for t in _ARG_RE.findall(args)]))
+            for predicate, args in _ATOM_PARTS_RE.findall(text)
+        ]
+        return Rule(head=head, body=tuple(body), score=score, id=rule_id, fact_id=fact_id)
     parser = _Parser(text)
     rule = parser.clause(rule_id, fact_id)
     if not parser.at_end():

@@ -4,7 +4,8 @@ against, the per-pair predicate rule that the candidate scan is checked
 against, the proof walk that ``ProofResult.used_fact_ids`` is checked
 against, the per-line vector-text loader that ``load_embeddings`` is checked
 against, and seeded random generators for knowledge bases, rule documents,
-adversarial KB texts and JSON trees.
+clause texts one edit away from a valid one, adversarial KB texts and JSON
+trees.
 
 The oracle re-implements proof enumeration from scratch (plain dicts, an
 explicit stack, no pruning, no candidate ranking) so the solver's best proof
@@ -35,7 +36,7 @@ from softprove.logic import (
     Variable,
 )
 from softprove.prover import ProofResult, SolverConfig
-from softprove.ruleparse import RuleDocument
+from softprove.ruleparse import RuleDocument, serialize
 
 PairScore = Callable[[str, str], float]
 
@@ -471,6 +472,32 @@ def random_document(rng: random.Random, max_rules: int = 6) -> RuleDocument:
         for p in rng.sample(_GOAL_PREDICATES, rng.randint(0, 2))
     )
     return RuleDocument(rules=rules, goal_decls=goal_decls)
+
+
+# The characters a one-character edit of a clause text draws from: the
+# grammar's own, whitespace, a comment's ``%`` and the goal declaration's ``|``.
+CLAUSE_EDIT_CHARS = "az_09AZ().,:-<=|% \t\r\n"
+
+
+def random_clause_lines(rng: random.Random, documents: int) -> list[str]:
+    """Every line, rule or goal declaration, of ``documents`` serialized
+    ``random_document`` texts."""
+    return [line for _ in range(documents) for line in serialize(random_document(rng)).splitlines()]
+
+
+def one_edit_away(text: str) -> Iterator[str]:
+    """Each distinct text that one deletion, insertion or replacement of a
+    character from ``CLAUSE_EDIT_CHARS`` makes of ``text``."""
+    seen = {text}
+    for i in range(len(text) + 1):
+        edits = [text[:i] + c + text[i:] for c in CLAUSE_EDIT_CHARS]
+        if i < len(text):
+            edits.append(text[:i] + text[i + 1 :])
+            edits.extend(text[:i] + c + text[i + 1 :] for c in CLAUSE_EDIT_CHARS)
+        for edited in edits:
+            if edited not in seen:
+                seen.add(edited)
+                yield edited
 
 
 # -- adversarial knowledge bases ------------------------------------------------

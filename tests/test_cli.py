@@ -329,6 +329,26 @@ def test_corpus_verify_continues_past_case_failures(tmp_path, capsys):
     assert payload["failures"] == ["broken.json"]
 
 
+@pytest.mark.parametrize("iteration", [1.9, True, "1"], ids=["float", "bool", "string"])
+def test_corpus_verify_fails_a_case_whose_iteration_is_not_an_integer(tmp_path, capsys, iteration):
+    manifest = _write_corpus(tmp_path)
+    doc = json.loads(manifest.read_text())
+    case = json.loads((tmp_path / doc["cases"][0]).read_text())
+    (tmp_path / "odd.json").write_text(json.dumps({**case, "id": "odd", "iteration": iteration}))
+    doc["cases"].append("odd.json")
+    manifest.write_text(json.dumps(doc))
+    code, out, err = _run(
+        capsys, "corpus", "verify", str(manifest),
+        "--embeddings", data_path("demo_vectors.txt"), "--json",
+    )
+    assert code == 0
+    assert err == f"case failed: odd.json: ValueError: case odd: iteration must be an integer, got {iteration!r}\n"
+    payload = json.loads(out)
+    assert payload["failures"] == ["odd.json"]
+    assert payload["overall"]["total"] == 4
+    assert [row["label"] for row in payload["per_iteration"]] == ["iteration 0"]
+
+
 def test_corpus_text_report_column_order(tmp_path, capsys):
     manifest = _write_corpus(tmp_path)
     code, out, _ = _run(

@@ -186,6 +186,25 @@ def test_unify_follows_chains_and_leaves_theta_unchanged():
     assert weak_unify_atoms((3, Constant("b")), head, (0, 0), 5, theta) is None  # 5 -> a, then a meets b
 
 
+def test_unify_follows_long_chains_on_both_sides_at_a_shifted_frame():
+    # Goal variable -1 leads to 9 and head slot 0 at frame 10 (variable 10)
+    # to 19, three links each; slot 1 at frame 10 is variable 11, bound to b.
+    a, b = Constant("a"), Constant("b")
+    theta = {-1: 4, 4: 7, 7: 9, 10: 13, 13: 16, 16: 19, 11: b}
+    snapshot = dict(theta)
+    head = atom("p", "X", "Y")
+    assert weak_unify_atoms((-1,), head, (0,), 10, theta) == {**snapshot, 19: 9}  # the head's end is bound
+    assert weak_unify_atoms((-1,), head, (1,), 10, theta) == {**snapshot, 9: b}
+    assert weak_unify_atoms((-1,), head, (0,), 0, theta) == {**snapshot, 0: 9}  # slot 0 at frame 0 is unbound
+    assert weak_unify_atoms((-1, a), head, (0, 1), 10, theta) is None  # 19 -> 9, then a meets b
+    assert theta == snapshot
+    joined = {**theta, 19: 9}
+    assert weak_unify_atoms((-1, 4), head, (0, 0), 10, joined) is joined  # nothing new to bind
+    grounded = {**theta, 9: b, 19: b}
+    assert weak_unify_atoms((-1, b), head, (0, 1), 10, grounded) is grounded
+    assert weak_unify_atoms((-1,), head, (0,), 10, {**theta, 9: a, 19: b}) is None
+
+
 def _unify_by_composing(a: Atom, b: Atom, theta: Substitution):
     """Reference unifier: composes ``theta`` with each binding as it is made."""
     for raw_left, raw_right in zip(a.args, b.args):
@@ -523,6 +542,23 @@ def test_candidates_equal_full_scan_on_random_suites():
             for store in (_store_from_vectors(vectors), EMPTY_STORE):
                 _assert_candidates_are_full_scan(kb, store, SolverConfig())
                 _assert_candidates_are_full_scan(shuffled, store, SolverConfig())
+
+
+def test_candidates_merge_interleaved_groups_and_return_one_group_as_it_stands():
+    # The exact group of harm (positions 0 and 3) and the weak group of hurt
+    # (1 and 4) interleave in KB order; calm (2) is the only group that
+    # unifies with itself, and still and arity 2 meet no head.
+    store = _store_from_vectors({"harm": [1.0, 0.0], "hurt": [0.9, 0.1], "calm": [0.0, 1.0], "still": [0.0, -1.0]})
+    kb = KnowledgeBase(tuple(
+        parse_rule(text, f"r{i}") for i, text in enumerate(["harm(a).", "hurt(b).", "calm(c).", "harm(d).", "hurt(e)."])
+    ))
+    config = SolverConfig()
+    for predicate, ids in (("harm", ["r0", "r1", "r3", "r4"]), ("calm", ["r2"]), ("still", [])):
+        goal = atom(predicate, "X")
+        found = candidate_rules(kb, goal, store, config)
+        assert [rule.id for rule, _ in found] == ids
+        assert found == _full_scan(kb, goal, store, config)
+    assert candidate_rules(kb, atom("harm", "X", "Y"), store, config) == []
 
 
 def test_candidate_lists_from_the_table_equal_the_per_pair_reference():

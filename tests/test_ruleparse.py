@@ -4,13 +4,15 @@ import pytest
 
 from softprove.logic import Constant, MoralViolation, Variable, format_score
 from softprove.ruleparse import (
+    _CLAUSE_RE,
     KbParseError,
     RuleSyntaxError,
+    _Parser,
     parse_kb,
     parse_rule,
     serialize,
 )
-from genutil import random_document
+from genutil import one_edit_away, random_clause_lines, random_document
 
 
 def test_parse_rule_with_body_and_score():
@@ -218,3 +220,73 @@ def test_document_equality_ignores_layout():
 def test_whitespace_and_comments_are_insignificant():
     sprawling = "% header\n  animal(X)\n :- frog(X)\n . = 1.0  % trailing\n"
     assert parse_kb(sprawling).rules == parse_kb("animal(X) :- frog(X). = 1.0").rules
+
+
+def _token_parse(text, rule_id, fact_id):
+    """A clause read by the token parser alone."""
+    parser = _Parser(text)
+    rule = parser.clause(rule_id, fact_id)
+    if not parser.at_end():
+        raise parser.error(parser.peek(), "end of input")
+    return rule
+
+
+def _reading(read, text, rule_id="g_f1_0", fact_id="f1"):
+    """The rule and its template, or the error's type, text, line and column."""
+    try:
+        rule = read(text, rule_id, fact_id)
+    except RuleSyntaxError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+    return rule, rule.template
+
+
+def test_both_readers_agree_on_clauses_and_every_one_edit_variant():
+    # Every line of generated documents (goal declarations too, which
+    # parse_rule rejects), and every text one character edit away from it.
+    lines = random_clause_lines(random.Random(23), 14)
+    checked = accepted = 0
+    for line in lines:
+        for text in (line, *one_edit_away(line)):
+            expected = _reading(_token_parse, text)
+            assert _reading(parse_rule, text) == expected, text
+            checked += 1
+            accepted += _CLAUSE_RE.fullmatch(text) is not None
+    assert checked >= 100_000
+    assert accepted > 1_000  # the one-match reader is exercised, not only the fallback
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a(x). = 0.5" + " " * 20_000 + "x",
+        "a" * 20_000,
+        "p(X) :- " + ", ".join(f"q{i}(X)" for i in range(3_000)),
+    ],
+    ids=["trailing-junk", "long-symbol", "long-body-no-dot"],
+)
+def test_long_near_misses_fall_back_with_the_token_parsers_error(text):
+    # A clause regex that backtracked more than linearly would hang here.
+    assert len(text) >= 20_000
+    assert _CLAUSE_RE.fullmatch(text) is None
+    assert _reading(parse_rule, text) == _reading(_token_parse, text)
+    assert _reading(parse_rule, text)[0] is RuleSyntaxError
+
+
+@pytest.mark.parametrize(
+    "text, one_match",
+    [
+        ("p(a,b,c,d).", False),
+        ("a(x). = 0.1234567", False),
+        ("a(x). % comment", False),
+        ("a(x).\x0c", False),
+        ("a(x). = 0.0", True),
+        ("a(x). = 1.5", True),
+    ],
+)
+def test_what_the_one_match_reader_leaves_to_the_token_parser(text, one_match):
+    # An arity above the cap, seven fractional digits, a comment and a
+    # character the tokenizer rejects do not match; a score outside (0, 1]
+    # matches but is refused.  The token parser reads each: the comment is
+    # whitespace to it, the rest are errors.
+    assert (_CLAUSE_RE.fullmatch(text) is not None) == one_match
+    assert _reading(parse_rule, text) == _reading(_token_parse, text)
