@@ -20,11 +20,12 @@ Each command takes only the flags it reads; every command takes ``--json``.
 - ``prove KB``: the vector and solver flags.
 - ``verify CASE`` and ``corpus verify MANIFEST [--out]``: the vector and
   solver flags and ``--principles``.  ``--out`` is a path from the working
-  directory; the manifest's own ``report`` key is read relative to the
-  manifest.
+  directory; the manifest's own ``report`` key, absent, ``null`` or a
+  non-empty string, is read relative to the manifest.
 - ``refine --case SEED``: those of ``verify``, plus ``--mock`` or ``--live``,
-  ``--iterations``, ``--temperature`` and ``--out``.  A prompt that the
-  ``--mock`` transcript has no entry for aborts the loop.
+  ``--iterations``, ``--temperature`` and ``--out``.  ``--out`` writes the
+  trace as one line of JSON; ``--json`` prints it indented.  A prompt that
+  the ``--mock`` transcript has no entry for aborts the loop.
 - ``embeddings cache``: ``--embeddings``, ``--limit`` and ``--out`` (default
   ``<source>.spemb``).
 
@@ -49,7 +50,6 @@ from typing import Optional
 
 from .chat import ChatError, ChatParams, HttpChatClient, MockTranscript, default_model
 from .embeddings import EmbeddingStore, default_cache_path, load_embeddings, load_embeddings_cached
-from .jsontext import dumps_indented
 from .logic import KnowledgeBase
 from .principles import load_principles
 from .prover import (
@@ -109,7 +109,7 @@ def _write_trace(args: argparse.Namespace, trace: RefineTrace) -> None:
 
 def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
     if args.json:
-        print(dumps_indented(payload))
+        print(json.dumps(payload, indent=2))
     else:
         print(text)
 
@@ -208,6 +208,9 @@ def cmd_corpus_verify(args: argparse.Namespace) -> int:
     manifest = json.loads(Path(args.manifest).read_text("utf-8"))
     if not isinstance(manifest, dict) or not isinstance(manifest.get("cases"), list):
         raise ValueError(f"{args.manifest}: manifest needs a `cases` list")
+    report = manifest.get("report")
+    if report is not None and not (isinstance(report, str) and report):
+        raise ValueError(f"{args.manifest}: manifest `report` must be a non-empty string")
     base = Path(args.manifest).parent
     principle_doc = load_principles(args.principles)
     store = _store(args)
@@ -232,12 +235,12 @@ def cmd_corpus_verify(args: argparse.Namespace) -> int:
     payload["failures"] = failures
     if args.out:
         destination = Path(args.out)
-    elif manifest.get("report"):
-        destination = base / manifest["report"]
+    elif report is not None:
+        destination = base / report
     else:
         destination = None
     if destination:
-        destination.write_text(dumps_indented(payload) + "\n", "utf-8")
+        destination.write_text(json.dumps(payload, indent=2) + "\n", "utf-8")
     _emit(args, render_metrics(payload), payload)
     return EXIT_OK
 

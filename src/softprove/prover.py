@@ -172,19 +172,17 @@ def _resolve(term: Slot, theta: Bindings) -> Slot:
 
 
 def weak_unify_atoms(
-    goal: tuple[Slot, ...], head: Atom, slots: tuple[Slot, ...], frame: int, theta: Bindings
+    goal: tuple[Slot, ...], slots: tuple[Slot, ...], frame: int, theta: Bindings
 ) -> Optional[Bindings]:
-    """Unify a goal's arguments with rule head ``head`` standardized apart at
+    """Unify a goal's arguments with a rule head standardized apart at
     ``frame``, under ``theta``; None if they clash.
 
     ``goal`` holds variable numbers and constants.  ``slots`` is the head's
     compiled arguments (``rule.template.head``), so slot ``s`` is variable
-    ``frame + s``; ``head`` itself is passed so that a wrapper of this
-    function sees which rule is tried.  The predicates have already passed
-    the candidate scan (``candidate_rules``), which gives the unification its
-    score; arguments match structurally, and constants by equality only.
-    Where both sides are variables, the head's is bound, so the goal's naming
-    survives in output.
+    ``frame + s``.  The predicates have already passed the candidate scan
+    (``candidate_rules``), which gives the unification its score; arguments
+    match structurally, and constants by equality only.  Where both sides are
+    variables, the head's is bound, so the goal's naming survives in output.
 
     Returns ``theta`` itself if nothing was bound, else a new dict with the
     new bindings; ``theta`` is never changed.
@@ -376,7 +374,7 @@ def prove_goal(
                     continue
                 frame = next_frame
                 next_frame += rule.template.size
-                theta1 = weak_unify_atoms(args, rule.head, rule.template.head, frame, theta)
+                theta1 = weak_unify_atoms(args, rule.template.head, frame, theta)
                 if theta1 is not None:
                     break
             else:

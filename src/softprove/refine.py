@@ -25,13 +25,15 @@ iteration's ``rules`` holds only the serialized rules of that iteration's
 explanation, so the knowledge base it verified is, as text,
 ``iteration["rules"] + trace["kb"]``.  An aborted trace carries ``kb`` too.
 An iteration's proof is written once, as its ``proof`` object
-(``prover.proof_to_dict``).
+(``prover.proof_to_dict``).  ``RefineTrace.to_json`` writes the trace as one
+line of ``json.dumps``.
 
 Each step asks the client once more when a reply is malformed, never more.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 import re
 from dataclasses import dataclass, field
@@ -39,7 +41,6 @@ from typing import Callable, Optional, Sequence, TypeVar
 
 from .chat import ChatClient, ChatError, ChatParams
 from .embeddings import EmbeddingStore
-from .jsontext import dumps_indented
 from .logic import MoralViolation, Rule
 from .principles import load_principles
 from .prompts import ABDUCE, AUTOFORMALIZE, DEDUCE, SEMANTIC, PromptTemplate
@@ -352,8 +353,8 @@ class RefineTrace:
         }
 
     def to_json(self) -> str:
-        """The trace as text: the bytes of ``json.dumps(self.to_dict(), indent=2)``."""
-        return dumps_indented(self.to_dict())
+        """The trace as one line of ``json.dumps(self.to_dict())``."""
+        return json.dumps(self.to_dict())
 
 
 def refine_loop(

@@ -12,7 +12,7 @@ import pytest
 
 import softprove
 from softprove.cli import _add_solver_flags, main
-from softprove.prover import SolverConfig
+from softprove.prover import MAX_DEPTH, SolverConfig
 from conftest import data_path
 
 
@@ -102,6 +102,29 @@ def test_prove_unprovable_kb_exit_3(tmp_path, capsys):
     code, _, err = _run(capsys, "prove", str(path))
     assert code == 3
     assert "no proof" in err
+
+
+def test_prove_prints_a_proof_as_deep_as_the_cap(tmp_path, capsys):
+    # The chain of test_prover's test_a_chain_as_deep_as_the_cap_proves_without_recursion_error:
+    # 256 steps, which the text and JSON writers each walk by recursion.
+    clauses = ["violate_care_physical(X,Y) :- c0(X)."]
+    clauses += [f"c{i}(X) :- c{i + 1}(X)." for i in range(MAX_DEPTH - 2)]
+    clauses += [f"c{MAX_DEPTH - 2}(action).", "goal <- violate_care_physical(action,patient)."]
+    path = tmp_path / "chain.pl"
+    path.write_text("\n".join(clauses) + "\n")
+    code, out, err = _run(capsys, "prove", str(path), "--max-depth", str(MAX_DEPTH))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 1 + MAX_DEPTH
+    assert lines[-1] == "  " * MAX_DEPTH + f"c{MAX_DEPTH - 2}(action) <= r{MAX_DEPTH - 1}  [unify 1.00000]"
+    code, out, err = _run(capsys, "prove", str(path), "--max-depth", str(MAX_DEPTH), "--json")
+    assert (code, err) == (0, "")
+    steps = json.loads(out)["steps"]
+    depth = 0
+    while steps:
+        (step,) = steps
+        steps, depth = step["children"], depth + 1
+    assert depth == MAX_DEPTH
 
 
 def test_prove_kb_without_goals_exit_2(tmp_path, capsys):
@@ -465,6 +488,10 @@ def _bad_input(tmp_path, name: str, text: str, encoding: str = "utf-8") -> str:
     return str(path)
 
 
+# Manifest ``report`` values that are neither absent, null nor a non-empty string.
+BAD_REPORTS = {"number": 5, "list": ["x"], "empty": "", "false": False}
+
+
 @pytest.mark.parametrize(
     "argv, code, message",
     [
@@ -472,6 +499,13 @@ def _bad_input(tmp_path, name: str, text: str, encoding: str = "utf-8") -> str:
         pytest.param(["verify", "{frog}", "--embeddings", "{dir}"], 1, "Is a directory", id="embeddings-directory"),
         pytest.param(["corpus", "verify", "{manifest_number}"], 1, "manifest needs a `cases` list", id="manifest-number"),
         pytest.param(["corpus", "verify", "{manifest_string}"], 1, "manifest needs a `cases` list", id="manifest-string"),
+        *[
+            pytest.param(
+                ["corpus", "verify", f"{{manifest_report_{name}}}"], 1, "manifest `report` must be a non-empty string",
+                id=f"manifest-report-{name}",
+            )
+            for name in BAD_REPORTS
+        ],
         pytest.param(["verify", "{frog}", "--embeddings-cache", "{dir}/x.spemb"], 2, "need --embeddings", id="cache-alone"),
         pytest.param(["verify", "{frog}", "--limit", "5"], 2, "need --embeddings", id="limit-alone"),
         pytest.param(
@@ -505,6 +539,13 @@ def test_exit_code_contract(tmp_path, capsys, argv, code, message):
         "vectors": data_path("demo_vectors.txt"),
         "manifest_number": _bad_input(tmp_path, "number.json", "5"),
         "manifest_string": _bad_input(tmp_path, "string.json", '"cases"'),
+        # The case is never read: the manifest is refused before any case runs.
+        **{
+            f"manifest_report_{name}": _bad_input(
+                tmp_path, f"report_{name}.json", json.dumps({"cases": ["missing.json"], "report": report})
+            )
+            for name, report in BAD_REPORTS.items()
+        },
         "bad_clause": _bad_input(tmp_path, "bad.pl", "broken(clause"),
         "bad_vectors": _bad_input(tmp_path, "vectors.txt", "cat 1.0 0.0\ndog 1.0\n"),
         "latin1_vectors": _bad_input(tmp_path, "latin1.txt", "cat 1.0 0.0\ncafé 1.0 0.0\n", "latin-1"),

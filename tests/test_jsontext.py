@@ -1,3 +1,10 @@
+"""The JSON text the program writes: ``cli._emit`` (every ``--json`` output)
+prints ``json.dumps(payload, indent=2)`` and a newline, byte for byte, and
+``RefineTrace.to_json`` is one line of ``json.dumps(trace.to_dict())``.
+Neither adds a fallback for what JSON cannot hold, and neither prints part
+of a payload it rejects."""
+
+import argparse
 import enum
 import json
 import random
@@ -7,21 +14,28 @@ from decimal import Decimal
 import pytest
 
 from softprove.chat import MockTranscript
-from softprove.jsontext import dumps_indented
+from softprove.cli import _emit
 from softprove.refine import RefineAborted, RefineConfig, refine_loop
 from test_refine import _prison_client, _prison_seed
 
 from genutil import random_json_tree
 
-
-def _same_as_json(obj) -> None:
-    assert dumps_indented(obj) == json.dumps(obj, indent=2)
+_JSON_ARGS = argparse.Namespace(json=True)
 
 
-def test_random_trees_match_json():
+def _emitted(obj, capsys) -> str:
+    _emit(_JSON_ARGS, "the text output", obj)
+    return capsys.readouterr().out
+
+
+def _same_as_json(obj, capsys) -> None:
+    assert _emitted(obj, capsys) == json.dumps(obj, indent=2) + "\n"
+
+
+def test_random_trees_match_json(capsys):
     rng = random.Random(2402)
     for _ in range(400):
-        _same_as_json(random_json_tree(rng))
+        _same_as_json(random_json_tree(rng), capsys)
 
 
 class Colour(str, enum.Enum):
@@ -54,8 +68,8 @@ class Tagged(list):
         {"é\U0001F600\ud800\\\"\x00\x1f\x7f": "é\U0001F600\ud800\\\"\x00\x1f\x7f"},
     ],
 )
-def test_edge_values_match_json(obj):
-    _same_as_json(obj)
+def test_edge_values_match_json(obj, capsys):
+    _same_as_json(obj, capsys)
 
 
 def _prison_traces(demo_store):
@@ -69,11 +83,15 @@ def _prison_traces(demo_store):
     yield aborted.value.trace
 
 
-def test_prison_traces_match_json(demo_store):
+def test_prison_traces_match_json(demo_store, capsys):
     traces = list(_prison_traces(demo_store))
     assert [len(trace.records) for trace in traces] == [1, 2, 3, 3, 1]
     for trace in traces:
-        assert trace.to_json() == json.dumps(trace.to_dict(), indent=2)
+        text = trace.to_json()
+        assert text == json.dumps(trace.to_dict())
+        assert "\n" not in text
+        # refine --json prints the same trace indented
+        _same_as_json(trace.to_dict(), capsys)
 
 
 @pytest.mark.parametrize(
@@ -81,16 +99,18 @@ def test_prison_traces_match_json(demo_store):
     [{1, 2}, b"bytes", object(), Decimal("1.5"), [1, {2}], {"k": [b"x"]}, {(1, 2): "tuple key"}, {b"k": 1}],
     ids=["set", "bytes", "object", "decimal", "nested-set", "nested-bytes", "tuple-key", "bytes-key"],
 )
-def test_what_json_rejects_raises_type_error(obj):
+def test_what_json_rejects_raises_type_error(obj, capsys):
     with pytest.raises(TypeError) as expected:
         json.dumps(obj, indent=2)
     with pytest.raises(TypeError) as got:
-        dumps_indented(obj)
+        _emit(_JSON_ARGS, "the text output", obj)
     assert str(got.value) == str(expected.value)
+    assert capsys.readouterr().out == ""
 
 
-def test_a_structure_that_contains_itself_raises():
+def test_a_structure_that_contains_itself_raises(capsys):
     loop: list = []
     loop.append(loop)
-    with pytest.raises(RecursionError):
-        dumps_indented(loop)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        _emit(_JSON_ARGS, "the text output", loop)
+    assert capsys.readouterr().out == ""
