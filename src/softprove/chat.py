@@ -3,6 +3,10 @@ thin HTTPS client for OpenAI-style endpoints.
 
 The mock replays canned responses keyed by (prompt role, prompt substring);
 an unmatched prompt is an error, never a fabricated reply.
+
+The HTTP stack (``requests``, and with it ``ssl``) is imported only when an
+``HttpChatClient`` is made, so a command that never calls a live endpoint
+does not load it.
 """
 
 from __future__ import annotations
@@ -11,9 +15,10 @@ import json
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Protocol, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Protocol, Sequence, Union
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 LLM_URL_ENV = "SOFTPROVE_LLM_URL"
 LLM_KEY_ENV = "SOFTPROVE_LLM_KEY"
@@ -100,6 +105,8 @@ class HttpChatClient:
         api_key: Optional[str] = None,
         session: Optional[requests.Session] = None,
     ) -> None:
+        import requests
+
         self.url = url or os.environ.get(LLM_URL_ENV, "")
         self.api_key = api_key or os.environ.get(LLM_KEY_ENV, "")
         self.session = session or requests.Session()
@@ -115,6 +122,8 @@ class HttpChatClient:
         }
 
     def complete(self, messages: Sequence[Message], params: ChatParams) -> str:
+        import requests
+
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"

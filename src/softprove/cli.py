@@ -9,6 +9,9 @@ failed, or the refine loop aborted) exits 4; any other ``ValueError`` (bad
 rule, case, seed, manifest or vector text) or ``OSError`` (a missing file, a
 directory given as a file) exits 1.  An aborted ``refine --out`` still writes
 the partial trace: the iterations recorded before the abort, ``valid: false``.
+An output file (``refine --out``, the ``corpus verify`` report) is written at
+the end, but a destination that is a directory, or whose directory does not
+exist, is an input error before the vectors load or any case runs.
 
 Settings come from flags only; the chat client's
 endpoint, key and model also read ``SOFTPROVE_LLM_URL``, ``SOFTPROVE_LLM_KEY``
@@ -102,6 +105,15 @@ def _store(args: argparse.Namespace) -> EmbeddingStore:
     return load_embeddings(path, limit=_limit(args))
 
 
+def _check_destination(destination: Path) -> None:
+    """Fail before any work when ``destination`` cannot be written as a file;
+    the file itself is written only at the end."""
+    if destination.is_dir():
+        raise ValueError(f"{destination}: output destination is a directory")
+    if not destination.parent.is_dir():
+        raise ValueError(f"{destination}: output directory {destination.parent} does not exist")
+
+
 def _write_trace(args: argparse.Namespace, trace: RefineTrace) -> None:
     if args.out:
         Path(args.out).write_text(trace.to_json() + "\n", "utf-8")
@@ -135,7 +147,8 @@ def cmd_prove(args: argparse.Namespace) -> int:
     if not goals:
         raise ConfigError(f"{args.kb}: no goal declaration (`goal <- ...`) found")
     kb = KnowledgeBase(rules=doc.rules, goals=goals)
-    outcome = prove_all_goals(kb, kb.goals, _store(args), _solver_config(args))
+    with _store(args) as store:
+        outcome = prove_all_goals(kb, kb.goals, store, _solver_config(args))
     if outcome is None:
         print("no proof above the threshold", file=sys.stderr)
         return EXIT_NO_PROOF
@@ -148,7 +161,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     case, rules = case_from_dict(json.loads(Path(args.case).read_text("utf-8")))
     principle_doc = load_principles(args.principles)
     kb = assemble_kb(principle_doc.rules, principle_doc.goal_decls, frame_to_facts(case.frame), rules)
-    outcome = verify_case(case, kb, _store(args), _solver_config(args))
+    with _store(args) as store:
+        outcome = verify_case(case, kb, store, _solver_config(args))
     payload = {"case_id": case.id, **outcome.to_dict()}
     text_lines = [f"{case.id}: {outcome.kind.value}"]
     if outcome.entailed:
@@ -169,6 +183,8 @@ def cmd_refine(args: argparse.Namespace) -> int:
         if key not in doc:
             raise ValueError(f"{args.case}: seed file missing key {key!r}")
     check_text_keys(doc, f"{args.case}: seed file")
+    if args.out:
+        _check_destination(Path(args.out))
     seed = CaseSeed(
         id=doc["id"],
         statement=doc["statement"],
@@ -187,9 +203,9 @@ def cmd_refine(args: argparse.Namespace) -> int:
         principles_path=args.principles,
         params=ChatParams(model=default_model(), temperature=args.temperature),
     )
-    store = _store(args)
     try:
-        case, trace = refine_loop(seed, config, client, store)
+        with _store(args) as store:
+            case, trace = refine_loop(seed, config, client, store)
     except RefineAborted as exc:
         _write_trace(args, exc.trace)
         raise
@@ -212,33 +228,35 @@ def cmd_corpus_verify(args: argparse.Namespace) -> int:
     if report is not None and not (isinstance(report, str) and report):
         raise ValueError(f"{args.manifest}: manifest `report` must be a non-empty string")
     base = Path(args.manifest).parent
-    principle_doc = load_principles(args.principles)
-    store = _store(args)
-    config = _solver_config(args)
-
-    outcomes = []
-    failures = []
-    for path_text in manifest["cases"]:
-        try:
-            doc = json.loads((base / path_text).read_text("utf-8"))
-            case, rules = case_from_dict(doc)
-            iteration = doc.get("iteration", 0)
-            if isinstance(iteration, bool) or not isinstance(iteration, int):
-                raise ValueError(f"case {case.id}: iteration must be an integer, got {iteration!r}")
-            kb = assemble_kb(principle_doc.rules, principle_doc.goal_decls, frame_to_facts(case.frame), rules)
-            outcomes.append((iteration, verify_case(case, kb, store, config)))
-        except Exception as exc:  # per-case failures never abort the corpus run
-            failures.append(str(path_text))
-            print(f"case failed: {path_text}: {type(exc).__name__}: {exc}", file=sys.stderr)
-    payload = aggregate_metrics(outcomes)
-    payload["split"] = manifest.get("split")
-    payload["failures"] = failures
     if args.out:
         destination = Path(args.out)
     elif report is not None:
         destination = base / report
     else:
         destination = None
+    if destination:
+        _check_destination(destination)
+    principle_doc = load_principles(args.principles)
+    config = _solver_config(args)
+
+    outcomes = []
+    failures = []
+    with _store(args) as store:
+        for path_text in manifest["cases"]:
+            try:
+                doc = json.loads((base / path_text).read_text("utf-8"))
+                case, rules = case_from_dict(doc)
+                iteration = doc.get("iteration", 0)
+                if isinstance(iteration, bool) or not isinstance(iteration, int):
+                    raise ValueError(f"case {case.id}: iteration must be an integer, got {iteration!r}")
+                kb = assemble_kb(principle_doc.rules, principle_doc.goal_decls, frame_to_facts(case.frame), rules)
+                outcomes.append((iteration, verify_case(case, kb, store, config)))
+            except Exception as exc:  # per-case failures never abort the corpus run
+                failures.append(str(path_text))
+                print(f"case failed: {path_text}: {type(exc).__name__}: {exc}", file=sys.stderr)
+    payload = aggregate_metrics(outcomes)
+    payload["split"] = manifest.get("split")
+    payload["failures"] = failures
     if destination:
         destination.write_text(json.dumps(payload, indent=2) + "\n", "utf-8")
     _emit(args, render_metrics(payload), payload)
@@ -251,6 +269,7 @@ def cmd_embeddings_cache(args: argparse.Namespace) -> int:
         raise ConfigError("embeddings cache needs --embeddings <file>")
     cache = args.out or default_cache_path(source)
     store = load_embeddings_cached(source, cache, limit=_limit(args))
+    store.close()
     payload = {
         "source": str(source),
         "cache": str(cache),

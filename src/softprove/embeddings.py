@@ -4,10 +4,12 @@ Vectors load from GloVe-style text: one ``token v1 .. vd`` line per token,
 single spaces between the fields.  A component is any numeral that Python's
 ``float`` accepts (``-1.5e-3``, ``1.``, ``.5``, ``1_0``, ``١٢``, ``１``),
 rounded to float32; a nan or infinite component, or one too large for
-float32, is an error.  The store holds the vectors as one float32 matrix, one
-row per token, plus a token -> row dict.  Multiword symbols such as
-``physical_harm`` embed as the mean of their in-vocabulary underscore-split
-tokens.
+float32, is an error.  A store maps each token to its float32 row.  Where
+the rows live follows how the store was made: a store loaded from text or
+built from a mapping holds them as one matrix, and a store read from the
+binary cache reads a row from the cache file each time it is asked for one.
+Multiword symbols such as ``physical_harm`` embed as the mean of their
+in-vocabulary underscore-split tokens.
 
 The text load splits its work.  A Python pass reads each line, lower-cases
 its token and checks the component count; NumPy's C reader (``np.loadtxt``)
@@ -40,6 +42,17 @@ The layout, all integers little-endian:
 
 A cache is written to a temporary file beside it and moved into place, so a
 reader never sees a half-written one.
+
+``read_cache`` checks the whole layout (magic, header, token blob, token
+count, duplicate tokens, and the file size against count x dimension) but
+reads only the header and the token blob.  The store it returns keeps the
+file's descriptor open and answers ``token_vector`` with one positional read
+(``os.pread``) of a row: a scoring pass asks for the rows of the symbols it
+meets, a small share of a large vocabulary.  The descriptor pins the inode
+that was checked, so a cache that ``write_cache`` replaces later does not
+change the store's vectors; a file cut short in place makes a read raise
+``EmbeddingError``.  A store is closed by ``close()`` (or a ``with`` block),
+and its descriptor also closes when the store is collected.
 """
 
 from __future__ import annotations
@@ -49,6 +62,7 @@ import io
 import os
 import struct
 import uuid
+import weakref
 from pathlib import Path
 from typing import BinaryIO, Mapping, Optional, Union
 
@@ -64,8 +78,9 @@ class EmbeddingError(ValueError):
 class EmbeddingStore:
     """Read-only token -> vector map with a per-symbol cache and a similarity table.
 
-    The vectors are the rows of one float32 matrix; ``token_vector`` returns a
-    view of its row.
+    ``token_vector`` returns a token's float32 row: a view of the store's
+    matrix, or, for a store read from the cache, a read-only array read from
+    the file.  After ``close()`` it raises ``EmbeddingError``.
     """
 
     @np.errstate(over="ignore")  # a component too large for float32 becomes inf
@@ -91,17 +106,18 @@ class EmbeddingStore:
         self._init(dimension, rows, matrix)
 
     @classmethod
-    def _from_matrix(cls, dimension: int, rows: dict[str, int], matrix: np.ndarray) -> "EmbeddingStore":
+    def _from_rows(cls, dimension: int, rows: dict[str, int], vectors: Union[np.ndarray, _CacheRows]) -> "EmbeddingStore":
         """The loaders' constructor: ``rows`` maps each token, already lower-cased,
-        to its row of ``matrix``, in row order.  Nothing is re-validated."""
+        to its row of ``vectors``, in row order.  Nothing is re-validated."""
         store = cls.__new__(cls)
-        store._init(dimension, rows, matrix)
+        store._init(dimension, rows, vectors)
         return store
 
-    def _init(self, dimension: int, rows: dict[str, int], matrix: np.ndarray) -> None:
+    def _init(self, dimension: int, rows: dict[str, int], vectors: Union[np.ndarray, _CacheRows]) -> None:
         self.dimension = dimension
         self._rows = rows
-        self._matrix = matrix
+        # the row source: indexed by a row number or a slice of rows
+        self._vectors = vectors
         # symbol -> (float64 mean vector, its norm), None when no token is known
         self._symbol_cache: dict[str, Optional[tuple[np.ndarray, float]]] = {}
         self._similarity: dict[str, dict[str, float]] = {}
@@ -115,7 +131,7 @@ class EmbeddingStore:
 
     def token_vector(self, token: str) -> Optional[np.ndarray]:
         row = self._rows.get(token)
-        return None if row is None else self._matrix[row]
+        return None if row is None else self._vectors[row]
 
     def tokens(self) -> list[str]:
         return list(self._rows)
@@ -130,6 +146,55 @@ class EmbeddingStore:
     def empty(cls, dimension: int = 1) -> "EmbeddingStore":
         """A store with no vocabulary: only exact symbol matches unify."""
         return cls(dimension, {})
+
+    def close(self) -> None:
+        """Release the cache file a store read from the cache holds open.  Any
+        later ``token_vector`` of a known token raises ``EmbeddingError``."""
+        vectors, self._vectors = self._vectors, _CLOSED
+        if isinstance(vectors, _CacheRows):
+            vectors.close()
+
+    def __enter__(self) -> "EmbeddingStore":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class _Closed:
+    def __getitem__(self, key) -> np.ndarray:
+        raise EmbeddingError("the embedding store is closed")
+
+
+_CLOSED = _Closed()
+
+
+class _CacheRows:
+    """The vector rows of an SPEMB3 cache, read from its open descriptor on
+    demand.  Indexed like the matrix: a row number gives one row, a slice a
+    block of rows; each read is one ``os.pread``."""
+
+    def __init__(self, path: Union[str, Path], fd: int, offset: int, count: int, dimension: int) -> None:
+        self._path = path
+        self._fd = fd
+        self._offset = offset
+        self._count = count
+        self._dimension = dimension
+        self._row_bytes = dimension * 4
+        # a store that is dropped unclosed still gives its descriptor back
+        self.close = weakref.finalize(self, os.close, fd)
+
+    def __getitem__(self, key: Union[int, slice]) -> np.ndarray:
+        if isinstance(key, slice):
+            start, stop, _ = key.indices(self._count)
+        else:
+            start, stop = key, key + 1
+        size = (stop - start) * self._row_bytes
+        data = os.pread(self._fd, size, self._offset + start * self._row_bytes)
+        if len(data) != size:
+            raise EmbeddingError(f"{self._path}: cache file ends before row {start + len(data) // self._row_bytes}")
+        block = np.frombuffer(data, dtype="<f4")
+        return block.reshape(stop - start, self._dimension) if isinstance(key, slice) else block
 
 
 def _check_finite(rows: Mapping[str, int], matrix: np.ndarray) -> None:
@@ -240,7 +305,7 @@ def load_embeddings(
         raise EmbeddingError("embedding source contains no vector lines")
     matrix = np.frombuffer(data, dtype=np.float32).reshape(len(rows), dimension)
     _check_finite(rows, matrix)
-    return EmbeddingStore._from_matrix(dimension, rows, matrix)
+    return EmbeddingStore._from_rows(dimension, rows, matrix)
 
 
 def _parse_block(rests: list[str], line_nos: list[int], dimension: int) -> np.ndarray:
@@ -340,6 +405,11 @@ _HASH_SIZE = 32
 _BLOB_START = len(CACHE_MAGIC) + _HASH_SIZE + _HEADER.size
 
 
+# Rows per write when a store is written to a cache: a cache-backed store
+# reads them in one ``os.pread`` each, so the vocabulary is never in memory whole.
+_WRITE_ROWS = 4096
+
+
 def write_cache(store: EmbeddingStore, cache_path: Union[str, Path], source_hash: bytes, limit: Optional[int]) -> None:
     """Write ``store`` as an SPEMB3 cache, replacing ``cache_path`` only once the
     whole file is written."""
@@ -353,7 +423,8 @@ def write_cache(store: EmbeddingStore, cache_path: Union[str, Path], source_hash
     try:
         with open(partial, "xb") as fh:
             fh.write(CACHE_MAGIC + source_hash + header + blob)
-            fh.write(store._matrix.astype("<f4", copy=False))
+            for start in range(0, len(tokens), _WRITE_ROWS):
+                fh.write(store._vectors[start : start + _WRITE_ROWS].astype("<f4", copy=False))
         os.replace(partial, cache_path)
     except BaseException:
         partial.unlink(missing_ok=True)
@@ -361,27 +432,36 @@ def write_cache(store: EmbeddingStore, cache_path: Union[str, Path], source_hash
 
 
 def read_cache(cache_path: Union[str, Path]) -> tuple[EmbeddingStore, bytes, Optional[int]]:
-    with open(cache_path, "rb") as fh:
-        data = fh.read()
-    if data[: len(CACHE_MAGIC)] != CACHE_MAGIC:
-        raise EmbeddingError(f"{cache_path}: not an SPEMB3 cache file")
-    if len(data) < _BLOB_START:
-        raise EmbeddingError(f"{cache_path}: truncated header")
-    source_hash = data[len(CACHE_MAGIC) : len(CACHE_MAGIC) + _HASH_SIZE]
-    limit, dimension, count, blob_size = _HEADER.unpack_from(data, _BLOB_START - _HEADER.size)
-    matrix_start = _BLOB_START + blob_size
+    """Check an SPEMB3 cache and return a store that reads its rows on demand,
+    with the source hash and ``limit`` it was built from."""
+    fd = os.open(cache_path, os.O_RDONLY)
     try:
-        blob = data[_BLOB_START:matrix_start].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise EmbeddingError(f"{cache_path}: token blob is not UTF-8") from exc
-    tokens = blob.split("\n") if blob else []
-    if dimension < 1 or len(tokens) != count or len(data) - matrix_start != count * dimension * 4:
-        raise EmbeddingError(f"{cache_path}: header disagrees with the token blob or the matrix size")
-    rows = dict(zip(tokens, range(count)))
-    if len(rows) != count:
-        raise EmbeddingError(f"{cache_path}: duplicate token")
-    matrix = np.frombuffer(data, dtype="<f4", count=count * dimension, offset=matrix_start)
-    return EmbeddingStore._from_matrix(dimension, rows, matrix.reshape(count, dimension)), source_hash, (limit or None)
+        head = os.pread(fd, _BLOB_START, 0)
+        if head[: len(CACHE_MAGIC)] != CACHE_MAGIC:
+            raise EmbeddingError(f"{cache_path}: not an SPEMB3 cache file")
+        if len(head) < _BLOB_START:
+            raise EmbeddingError(f"{cache_path}: truncated header")
+        source_hash = head[len(CACHE_MAGIC) : len(CACHE_MAGIC) + _HASH_SIZE]
+        limit, dimension, count, blob_size = _HEADER.unpack_from(head, _BLOB_START - _HEADER.size)
+        matrix_start = _BLOB_START + blob_size
+        matrix_size = os.fstat(fd).st_size - matrix_start
+        if dimension < 1 or matrix_size != count * dimension * 4:
+            raise EmbeddingError(f"{cache_path}: header disagrees with the token blob or the matrix size")
+        try:
+            blob = os.pread(fd, blob_size, _BLOB_START).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise EmbeddingError(f"{cache_path}: token blob is not UTF-8") from exc
+        tokens = blob.split("\n") if blob else []
+        if len(tokens) != count:
+            raise EmbeddingError(f"{cache_path}: header disagrees with the token blob or the matrix size")
+        rows = dict(zip(tokens, range(count)))
+        if len(rows) != count:
+            raise EmbeddingError(f"{cache_path}: duplicate token")
+    except BaseException:
+        os.close(fd)
+        raise
+    vectors = _CacheRows(cache_path, fd, matrix_start, count, dimension)
+    return EmbeddingStore._from_rows(dimension, rows, vectors), source_hash, (limit or None)
 
 
 def default_cache_path(source_path: Union[str, Path]) -> Path:
@@ -395,17 +475,22 @@ def load_embeddings_cached(
     cache_path: Optional[Union[str, Path]] = None,
     limit: Optional[int] = None,
 ) -> EmbeddingStore:
-    """Load via the binary cache, rebuilding it on source-hash or limit change."""
+    """Load via the binary cache, rebuilding it on source-hash or limit change.
+
+    A store read from the cache holds the cache file open until it is closed
+    or collected; a rebuilt one is the text load's and holds its matrix."""
     source_path = Path(source_path)
     cache_path = Path(cache_path) if cache_path else default_cache_path(source_path)
     current_hash = _content_hash(source_path)
     if cache_path.exists():
         try:
             store, cached_hash, cached_limit = read_cache(cache_path)
-            if cached_hash == current_hash and cached_limit == limit:
-                return store
         except EmbeddingError:
             pass  # stale layout or corrupt cache: rebuild below
+        else:
+            if cached_hash == current_hash and cached_limit == limit:
+                return store
+            store.close()
     store = load_embeddings(source_path, limit=limit)
     write_cache(store, cache_path, current_hash, limit)
     return store

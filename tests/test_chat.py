@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import softprove
 from softprove.chat import (
     ChatError,
     ChatParams,
@@ -9,6 +14,7 @@ from softprove.chat import (
     MockTranscript,
     TranscriptEntry,
 )
+from conftest import data_path
 
 
 def _client(entries):
@@ -63,6 +69,29 @@ def test_mock_records_requests():
     client = _client([("deduce", "", "Hypothesis: care")])
     client.complete([("system", "s"), ("user", "u")], ChatParams().tagged("deduce"))
     assert client.requests == [("deduce", "s\nu")]
+
+
+_HTTP_STACK_PROBE = """
+import contextlib, io, sys
+from softprove.cli import main
+
+loaded = {"import": sorted({"requests", "ssl", "urllib3"} & set(sys.modules))}
+data = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["verify", f"{data}/cases/frog.json", "--embeddings", f"{data}/demo_vectors.txt"])
+    main(["refine", "--case", f"{data}/cases/prison_seed.json", "--mock", f"{data}/transcripts/prison.json"])
+loaded["commands"] = sorted({"requests", "ssl", "urllib3"} & set(sys.modules))
+print(loaded)
+"""
+
+
+def test_the_cli_loads_the_http_stack_only_for_the_http_client():
+    env = dict(os.environ, PYTHONPATH=str(Path(softprove.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _HTTP_STACK_PROBE, data_path("")], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "{'import': [], 'commands': []}\n"
 
 
 # -- live client payload (no network) ---------------------------------------------

@@ -326,6 +326,42 @@ def test_corpus_verify_report_key_is_relative_to_the_manifest(tmp_path, capsys, 
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        pytest.param(("corpus", "report ."), id="corpus-report-dot"),
+        pytest.param(("corpus", "--out nodir/r.json"), id="corpus-out-nodir"),
+        pytest.param(("refine", "--out nodir/r.json"), id="refine-out-nodir"),
+        pytest.param(("refine", "--out ."), id="refine-out-dot"),
+    ],
+)
+def test_unwritable_destination_fails_before_any_case_runs(tmp_path, capsys, monkeypatch, command):
+    from softprove import cli, refine
+
+    calls = []
+    monkeypatch.setattr(cli, "verify_case", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(refine, "verify_case", lambda *a, **k: calls.append(a))
+    monkeypatch.chdir(tmp_path)
+    name, destination = command
+    vectors = ("--embeddings", data_path("demo_vectors.txt"))
+    if name == "corpus":
+        manifest = _write_corpus(tmp_path)
+        if destination == "report .":
+            doc = json.loads(manifest.read_text())
+            manifest.write_text(json.dumps(dict(doc, report=".")))
+            argv = ("corpus", "verify", str(manifest), *vectors)
+        else:
+            argv = ("corpus", "verify", str(manifest), *destination.split(), *vectors)
+    else:
+        argv = (*REFINE, data_path("cases/prison_seed.json"), *destination.split(), *vectors)
+    code, out, err = _run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert calls == []
+    assert not (tmp_path / "nodir").exists()
+
+
 def test_corpus_verify_empty_manifest(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"cases": []}))

@@ -24,6 +24,7 @@ from softprove.embeddings import (
     weak_unify_score,
     write_cache,
 )
+from conftest import data_path
 from genutil import cosine_pair_table, reference_vectors
 
 
@@ -463,7 +464,8 @@ def _count_disagrees_with_blob(good: bytes, dimension: int) -> bytes:
 
 
 @pytest.mark.parametrize(
-    "damage", ["spemb1_layout", "spemb2_magic", "truncated_by_one_byte", "count_disagrees_with_blob"]
+    "damage",
+    ["spemb1_layout", "spemb2_magic", "truncated_by_one_byte", "count_disagrees_with_blob", "blob_past_the_end"],
 )
 def test_damaged_or_old_cache_is_rebuilt(tmp_path, damage):
     source = tmp_path / "vectors.txt"
@@ -480,6 +482,9 @@ def test_damaged_or_old_cache_is_rebuilt(tmp_path, damage):
         cache.write_bytes(b"SPEMB2" + good[len(CACHE_MAGIC) :])
     elif damage == "truncated_by_one_byte":
         cache.write_bytes(good[:-1])
+    elif damage == "blob_past_the_end":  # read_cache must not ask for 4 GiB of token blob
+        at = len(CACHE_MAGIC) + 32 + 12
+        cache.write_bytes(good[:at] + struct.pack("<I", 0xFFFFFFFF) + good[at + 4 :])
     else:
         cache.write_bytes(_count_disagrees_with_blob(good, expected.dimension))
 
@@ -575,3 +580,122 @@ def test_cached_loader_detects_a_same_size_source_change(tmp_path):
     assert source.stat().st_size == stat.st_size
     store = load_embeddings_cached(source, cache)
     assert store.token_vector("dog").tolist() == [0.0, 2.0]
+
+
+# -- a store read from the cache ------------------------------------------------------
+
+
+def _cache_of(tmp_path, store: EmbeddingStore, name: str = "vectors.spemb"):
+    cache = tmp_path / name
+    write_cache(store, cache, source_hash=b"\x03" * 32, limit=None)
+    return cache
+
+
+def test_cache_and_text_stores_agree_on_every_demo_token(tmp_path):
+    source = data_path("demo_vectors.txt")
+    from_text = load_embeddings(source)
+    cache = tmp_path / "demo.spemb"
+    load_embeddings_cached(source, cache)  # builds the cache from the text
+    with load_embeddings_cached(source, cache) as from_cache:
+        assert from_cache.tokens() == from_text.tokens()
+        for token in from_text.tokens():
+            cached, text = from_cache.token_vector(token), from_text.token_vector(token)
+            assert (cached.dtype.str, cached.shape, cached.tobytes()) == (text.dtype.str, text.shape, text.tobytes())
+            assert not cached.flags.writeable
+
+
+def test_read_cache_reads_only_the_header_and_the_tokens_until_a_row_is_asked_for(tmp_path, monkeypatch):
+    store = EmbeddingStore(3, {f"t{i}": np.full(3, i, dtype=np.float32) for i in range(50)})
+    cache = _cache_of(tmp_path, store)
+    read = []
+    real_pread = os.pread
+
+    def counting_pread(fd, size, offset):
+        data = real_pread(fd, size, offset)
+        read.append(len(data))
+        return data
+
+    monkeypatch.setattr(os, "pread", counting_pread)
+    loaded, _, _ = read_cache(cache)
+    matrix_bytes = 50 * 3 * 4
+    assert sum(read) == cache.stat().st_size - matrix_bytes
+    assert loaded.token_vector("t7").tolist() == [7.0, 7.0, 7.0]
+    assert sum(read) == cache.stat().st_size - matrix_bytes + 3 * 4
+    loaded.close()
+
+
+def test_cache_store_keeps_its_vectors_after_the_cache_is_replaced(tmp_path):
+    first = EmbeddingStore(2, {"cat": np.array([1.0, 0.0]), "dog": np.array([0.0, 1.0])})
+    cache = _cache_of(tmp_path, first)
+    with read_cache(cache)[0] as loaded:
+        assert loaded.token_vector("cat").tolist() == [1.0, 0.0]
+        second = EmbeddingStore(2, {"cat": np.array([5.0, 5.0]), "dog": np.array([7.0, 7.0])})
+        _cache_of(tmp_path, second)  # a new file moved over the old name
+        assert read_cache(cache)[0].token_vector("dog").tolist() == [7.0, 7.0]
+        assert loaded.token_vector("cat").tolist() == [1.0, 0.0]
+        assert loaded.token_vector("dog").tolist() == [0.0, 1.0]
+
+
+def test_cache_truncated_in_place_makes_a_row_read_fail(tmp_path):
+    store = EmbeddingStore(2, {"cat": np.array([1.0, 0.0]), "dog": np.array([0.0, 1.0])})
+    cache = _cache_of(tmp_path, store)
+    with read_cache(cache)[0] as loaded:
+        with open(cache, "r+b") as fh:
+            fh.truncate(cache.stat().st_size - 4)
+        assert loaded.token_vector("cat").tolist() == [1.0, 0.0]
+        with pytest.raises(EmbeddingError, match="ends before row 1"):
+            loaded.token_vector("dog")
+
+
+@pytest.mark.parametrize("kind", ["cache", "text"])
+def test_store_after_close_raises(tmp_path, kind):
+    text = tmp_path / "vectors.txt"
+    text.write_text("cat 1.0 0.0\ndog 0.0 1.0\n")
+    store = read_cache(_cache_of(tmp_path, load_embeddings(text)))[0] if kind == "cache" else load_embeddings(text)
+    store.close()
+    store.close()  # closing twice is harmless
+    with pytest.raises(EmbeddingError, match="closed"):
+        store.token_vector("cat")
+    with pytest.raises(EmbeddingError, match="closed"):
+        weak_unify_score(store, "cat", "dog")
+    assert store.token_vector("frog") is None  # an unknown token needs no row
+    assert store.vocab_size == 2
+
+
+def test_a_dropped_cache_store_closes_its_descriptor(tmp_path):
+    store = read_cache(_cache_of(tmp_path, EmbeddingStore(2, {"cat": np.array([1.0, 0.0])})))[0]
+    finalizer = store._vectors.close
+    assert finalizer.alive
+    del store
+    gc.collect()
+    assert not finalizer.alive
+
+
+def test_a_rejected_cache_leaves_no_descriptor_open(tmp_path):
+    good = _cache_of(tmp_path, EmbeddingStore(2, {"cat": np.array([1.0, 0.0])})).read_bytes()
+    bad = tmp_path / "bad.spemb"
+    bad.write_bytes(good[:-1])
+    opened = []
+    real_open = os.open
+
+    def recording_open(*args, **kwargs):
+        opened.append(real_open(*args, **kwargs))
+        return opened[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "open", recording_open)
+        with pytest.raises(EmbeddingError):
+            read_cache(bad)
+    with pytest.raises(OSError):
+        os.fstat(opened[0])
+
+
+def test_writing_a_cache_loaded_store_gives_the_same_cache(tmp_path, monkeypatch):
+    rng = random.Random(37)
+    text = tmp_path / "vectors.txt"
+    text.write_text(_vectors_text(rng, [f"w{i}" for i in range(11)], 5), "utf-8")
+    monkeypatch.setattr(embeddings, "_WRITE_ROWS", 4)  # three blocks, the last one short
+    first = _cache_of(tmp_path, load_embeddings(text), "first.spemb")
+    with read_cache(first)[0] as loaded:
+        second = _cache_of(tmp_path, loaded, "second.spemb")
+    assert second.read_bytes() == first.read_bytes()
