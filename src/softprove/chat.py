@@ -4,9 +4,9 @@ thin HTTPS client for OpenAI-style endpoints.
 The mock replays canned responses keyed by (prompt role, prompt substring);
 an unmatched prompt is an error, never a fabricated reply.
 
-The HTTP stack (``requests``, and with it ``ssl``) is imported only when an
-``HttpChatClient`` is made, so a command that never calls a live endpoint
-does not load it.
+The HTTPS client sends one POST per call on a new connection, refuses
+redirects (the bearer key goes only to the configured URL) and trusts the
+system CA store; ``complete`` imports ``urllib.request``, which loads ``ssl``.
 """
 
 from __future__ import annotations
@@ -15,14 +15,13 @@ import json
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Protocol, Sequence, Union
-
-if TYPE_CHECKING:
-    import requests
+from typing import Optional, Protocol, Sequence, Union
 
 LLM_URL_ENV = "SOFTPROVE_LLM_URL"
 LLM_KEY_ENV = "SOFTPROVE_LLM_KEY"
 LLM_MODEL_ENV = "SOFTPROVE_LLM_MODEL"
+MAX_TOKENS = 1024
+TIMEOUT_S = 60.0
 
 Message = tuple[str, str]
 
@@ -38,8 +37,6 @@ class ChatParams:
 
     model: str = "gpt-3.5-turbo"
     temperature: float = 0.5
-    max_tokens: int = 1024
-    timeout: float = 60.0
     role: Optional[str] = None
 
     def tagged(self, role: str) -> "ChatParams":
@@ -95,21 +92,14 @@ class MockTranscript:
 class HttpChatClient:
     """OpenAI-style chat-completion call over HTTPS.
 
-    Endpoint and key come from arguments or the SOFTPROVE_LLM_URL /
-    SOFTPROVE_LLM_KEY environment variables.
+    Endpoint and key come from arguments or SOFTPROVE_LLM_URL / SOFTPROVE_LLM_KEY.
+    ``transport`` is one more urllib handler; tests answer ``https_open`` with it.
     """
 
-    def __init__(
-        self,
-        url: Optional[str] = None,
-        api_key: Optional[str] = None,
-        session: Optional[requests.Session] = None,
-    ) -> None:
-        import requests
-
+    def __init__(self, url: Optional[str] = None, api_key: Optional[str] = None, transport: object = None) -> None:
         self.url = url or os.environ.get(LLM_URL_ENV, "")
         self.api_key = api_key or os.environ.get(LLM_KEY_ENV, "")
-        self.session = session or requests.Session()
+        self.transport = transport
         if not self.url:
             raise ChatError(f"no chat endpoint configured; set {LLM_URL_ENV}")
 
@@ -118,27 +108,36 @@ class HttpChatClient:
             "model": params.model,
             "messages": [{"role": role, "content": text} for role, text in messages],
             "temperature": params.temperature,
-            "max_tokens": params.max_tokens,
+            "max_tokens": MAX_TOKENS,
         }
 
     def complete(self, messages: Sequence[Message], params: ChatParams) -> str:
-        import requests
+        import http.client
+        import urllib.error
+        import urllib.request
+
+        class RefuseRedirects(urllib.request.HTTPRedirectHandler):
+            def redirect_request(self, *args: object) -> None:
+                return None
 
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        handlers = [RefuseRedirects()] + ([self.transport] if self.transport else [])
         try:
-            response = self.session.post(
-                self.url,
-                json=self.build_payload(messages, params),
-                headers=headers,
-                timeout=params.timeout,
-            )
-            response.raise_for_status()
-            body = response.json()
-            content = body["choices"][0]["message"]["content"]
-        except requests.RequestException as exc:
+            # allow_nan=False refuses a NaN or infinite temperature before any request.
+            data = json.dumps(self.build_payload(messages, params), allow_nan=False).encode("utf-8")
+            request = urllib.request.Request(self.url, data=data, headers=headers)
+            if request.type not in ("http", "https"):
+                raise ValueError(f"not an http(s) URL: {self.url!r}")
+            with urllib.request.build_opener(*handlers).open(request, timeout=TIMEOUT_S) as response:
+                raw = response.read()
+        except (OSError, ValueError, http.client.HTTPException) as exc:
+            if isinstance(exc, urllib.error.HTTPError):
+                exc.close()  # it holds the response, and with it the socket
             raise ChatError(f"chat request failed: {exc}") from exc
+        try:
+            content = json.loads(raw)["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ChatError(f"malformed chat response: {exc}") from exc
         if not isinstance(content, str):

@@ -28,7 +28,9 @@ Each command takes only the flags it reads; every command takes ``--json``.
 - ``refine --case SEED``: those of ``verify``, plus ``--mock`` or ``--live``,
   ``--iterations``, ``--temperature`` and ``--out``.  ``--out`` writes the
   trace as one line of JSON; ``--json`` prints it indented.  A prompt that
-  the ``--mock`` transcript has no entry for aborts the loop.
+  the ``--mock`` transcript has no entry for aborts the loop.  ``--live``
+  posts each prompt to ``SOFTPROVE_LLM_URL`` with the standard library: one
+  connection per call, redirects refused, the system CA store trusted.
 - ``embeddings cache``: ``--embeddings``, ``--limit`` and ``--out`` (default
   ``<source>.spemb``).
 

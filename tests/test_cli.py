@@ -566,12 +566,16 @@ BAD_REPORTS = {"number": 5, "list": ["x"], "empty": "", "false": False}
             ["verify", "{frog}", "--embeddings", "{latin1_vectors}", "--embeddings-cache", "{dir}/x.spemb"],
             1, "line 2: not valid UTF-8", id="not-utf8-vectors-cached",
         ),
+        pytest.param(["refine", "--case", "{seed}"], 2, "refine needs --mock", id="refine-no-client"),
+        pytest.param(["refine", "--case", "{seed}", "--live"], 4, "no chat endpoint configured", id="live-no-endpoint"),
     ],
 )
-def test_exit_code_contract(tmp_path, capsys, argv, code, message):
+def test_exit_code_contract(tmp_path, capsys, monkeypatch, argv, code, message):
+    monkeypatch.delenv("SOFTPROVE_LLM_URL", raising=False)
     paths = {
         "dir": str(tmp_path),
         "frog": data_path("cases/frog.json"),
+        "seed": data_path("cases/prison_seed.json"),
         "vectors": data_path("demo_vectors.txt"),
         "manifest_number": _bad_input(tmp_path, "number.json", "5"),
         "manifest_string": _bad_input(tmp_path, "string.json", '"cases"'),
